@@ -14,7 +14,6 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import klr as _klr
 from .adapt import AdaptedModel, adapt_pipeline, predict_target, target_class_probs
 from .data import Dataset, apply_standardization, load_csv, load_feature_csv
 from .klr import CvGrid
@@ -307,13 +306,7 @@ def cmd_selftest(inject_fault):
     """Run the fast invariant suite; exit 3 on any property failure."""
     from .selftest import run_selftest
 
-    if inject_fault == "truncation":
-        _klr._FAULT_TRUNCATION = True
-    try:
-        ok = run_selftest(echo=click.echo)
-    finally:
-        _klr._FAULT_TRUNCATION = False
-    if not ok:
+    if not run_selftest(echo=click.echo, inject_fault=inject_fault):
         sys.exit(3)
 
 

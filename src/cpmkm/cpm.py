@@ -68,19 +68,22 @@ def reweighted_target_probs(problem: MatchProblem, w) -> np.ndarray:
     return (problem.target_probs / s[:, None]).mean(axis=0)
 
 
+def _loss_and_grad(problem: MatchProblem, w: np.ndarray) -> tuple[float, np.ndarray]:
+    """Squared mismatch and its gradient from one pass over the denominators."""
+    s = _denominators(problem, w)
+    tp = problem.target_probs
+    diff = problem.p_hat - (tp / s[:, None]).mean(axis=0)
+    # J[y, m] = (1/n_q) sum_i p(y|X_i) p(m|X_i) / s_i^2  (= -dr_y/dw_m)
+    jac = (tp / s[:, None] ** 2).T @ tp / tp.shape[0]
+    return float(np.sum(diff ** 2)), 2.0 * jac.T @ diff
+
+
 def cpm_objective(problem: MatchProblem, w) -> float:
-    r = reweighted_target_probs(problem, w)
-    return float(np.sum((problem.p_hat - r) ** 2))
+    return _loss_and_grad(problem, _check_w(w, problem.num_classes))[0]
 
 
 def cpm_gradient(problem: MatchProblem, w) -> np.ndarray:
-    w = _check_w(w, problem.num_classes)
-    s = _denominators(problem, w)
-    tp = problem.target_probs
-    r = (tp / s[:, None]).mean(axis=0)
-    # J[y, m] = (1/n_q) sum_i p(y|X_i) p(m|X_i) / s_i^2  (= -dr_y/dw_m)
-    jac = (tp / s[:, None] ** 2).T @ tp / tp.shape[0]
-    return 2.0 * jac.T @ (problem.p_hat - r)
+    return _loss_and_grad(problem, _check_w(w, problem.num_classes))[1]
 
 
 def cpm_solve(problem: MatchProblem, max_iter: int = 1000) -> np.ndarray:
@@ -93,10 +96,10 @@ def cpm_solve(problem: MatchProblem, max_iter: int = 1000) -> np.ndarray:
 
     def fun(w):
         wc = np.maximum(w, 0.0)
-        # keep at least one positive entry for the guard in _check_w
+        # all-zero w lies outside the domain _check_w enforces
         if not np.any(wc > 0):
             wc = np.full(m, problem.floor_s)
-        return cpm_objective(problem, wc), cpm_gradient(problem, wc)
+        return _loss_and_grad(problem, wc)
 
     res = minimize(fun, w0, jac=True, method="L-BFGS-B",
                    bounds=[(0.0, None)] * m,

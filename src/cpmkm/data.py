@@ -50,10 +50,9 @@ def standardize_columns(features: np.ndarray):
     """Zero-mean unit-variance transform; constant columns map to zeros."""
     mean = features.mean(axis=0)
     std = features.std(axis=0)
-    std = np.where(std ** 2 < VARIANCE_FLOOR, 1.0, std)
-    centered = features - mean
-    constant = features.std(axis=0) ** 2 < VARIANCE_FLOOR
-    out = centered / std
+    constant = std ** 2 < VARIANCE_FLOOR
+    std = np.where(constant, 1.0, std)
+    out = (features - mean) / std
     out[:, constant] = 0.0
     return out, mean, std
 

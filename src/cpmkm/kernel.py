@@ -23,7 +23,6 @@ class KernelParams:
 @dataclass(frozen=True)
 class GramMatrix:
     values: np.ndarray
-    symmetric: bool = False
 
 
 def kernel_eval(x, y, params: KernelParams) -> float:
@@ -51,4 +50,4 @@ def gram(rows, cols, params: KernelParams) -> GramMatrix:
         # exact unit diagonal regardless of cdist rounding
         np.fill_diagonal(values, 1.0)
         values = (values + values.T) / 2.0
-    return GramMatrix(values=values, symmetric=symmetric)
+    return GramMatrix(values=values)

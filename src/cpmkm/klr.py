@@ -20,10 +20,6 @@ from .kernel import GramMatrix, KernelParams, gram
 
 MODEL_FORMAT_VERSION = 1
 
-# Test hook: when True, truncate_simplex skips the renormalization of the
-# above-threshold entries.  Used only by the selftest negative control.
-_FAULT_TRUNCATION = False
-
 
 @dataclass(frozen=True)
 class KlrModel:
@@ -146,8 +142,7 @@ def truncate_simplex(p, t: float) -> np.ndarray:
     # written as t + (p - t)(1 - D/E) so floored entries never round below t
     deficit = np.where(below, t - p, 0.0).sum(axis=-1, keepdims=p.ndim > 1)
     headroom = np.where(below, 0.0, p - t).sum(axis=-1, keepdims=p.ndim > 1)
-    shrink = 1.0 - deficit / headroom if not _FAULT_TRUNCATION else 1.0
-    return np.where(below, t, t + (p - t) * shrink)
+    return np.where(below, t, t + (p - t) * (1.0 - deficit / headroom))
 
 
 def _scores(gram_values: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -161,35 +156,30 @@ def _check_labels(labels: np.ndarray, num_classes: int):
         raise ValueError(f"labels must lie in 1..{num_classes}")
 
 
+def _loss_and_grad(alpha: np.ndarray, k: np.ndarray, labels: np.ndarray,
+                   lam: float) -> tuple[float, np.ndarray]:
+    """Objective and gradient of the regularized CE from one score matrix."""
+    n = k.shape[0]
+    _check_labels(labels, alpha.shape[1] + 1)
+    scores = _scores(k, alpha)
+    rows = np.arange(n)
+    ce = float(np.mean(logsumexp(scores, axis=1) - scores[rows, labels - 1]))
+    value = lam * float(np.sum(alpha * scores[:, :-1])) + ce
+    resid = softmax_scores(scores)
+    resid[rows, labels - 1] -= 1.0
+    return value, k @ (2.0 * lam * alpha + resid[:, :-1] / n)
+
+
 def klr_objective(alpha, gram_self: GramMatrix, labels, lam: float) -> float:
     """Regularized CE objective: lam * sum_m alpha_m' K alpha_m + mean CE."""
-    alpha = np.asarray(alpha, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    k = gram_self.values
-    n = k.shape[0]
-    num_classes = alpha.shape[1] + 1
-    _check_labels(labels, num_classes)
-    f = k @ alpha
-    scores = np.hstack([f, np.zeros((n, 1))])
-    lse = logsumexp(scores, axis=1)
-    ce = float(np.mean(lse - scores[np.arange(n), labels - 1]))
-    penalty = lam * float(np.sum(alpha * f))
-    return penalty + ce
+    return _loss_and_grad(np.asarray(alpha, dtype=float), gram_self.values,
+                          np.asarray(labels, dtype=int), lam)[0]
 
 
 def klr_gradient(alpha, gram_self: GramMatrix, labels, lam: float) -> np.ndarray:
     """Analytic gradient of klr_objective w.r.t. alpha."""
-    alpha = np.asarray(alpha, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    k = gram_self.values
-    n = k.shape[0]
-    num_classes = alpha.shape[1] + 1
-    _check_labels(labels, num_classes)
-    probs = softmax_scores(_scores(k, alpha))
-    onehot = np.zeros((n, num_classes))
-    onehot[np.arange(n), labels - 1] = 1.0
-    resid = (probs - onehot)[:, : num_classes - 1]
-    return k @ (2.0 * lam * alpha + resid / n)
+    return _loss_and_grad(np.asarray(alpha, dtype=float), gram_self.values,
+                          np.asarray(labels, dtype=int), lam)[1]
 
 
 def klr_fit(data, kernel: KernelParams, lam: float, trunc_t: float,
@@ -210,13 +200,12 @@ def klr_fit(data, kernel: KernelParams, lam: float, trunc_t: float,
     if (counts == 0).any():
         missing = int(np.argmin(counts)) + 1
         raise ValueError(f"class {missing} has no source examples")
-    g = gram(x, x, kernel)
+    k = gram(x, x, kernel).values
     shape = (n, m - 1)
 
     def fun(flat):
-        a = flat.reshape(shape)
-        return (klr_objective(a, g, labels, lam),
-                klr_gradient(a, g, labels, lam).ravel())
+        value, grad = _loss_and_grad(flat.reshape(shape), k, labels, lam)
+        return value, grad.ravel()
 
     res = minimize(fun, np.zeros(n * (m - 1)), jac=True, method="L-BFGS-B",
                    options={"maxiter": max_iter, "gtol": gtol, "ftol": 1e-15})

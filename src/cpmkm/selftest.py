@@ -15,20 +15,25 @@ def _random_simplex(rng, m):
     return v / v.sum()
 
 
-def check_truncation(rng) -> bool:
+def _floor_without_renormalization(p, t):
+    """Faulty truncation for the negative control: floors but leaves the simplex."""
+    return np.maximum(p, t)
+
+
+def check_truncation(rng, truncate=klr.truncate_simplex) -> bool:
     for _ in range(200):
         m = rng.integers(2, 8)
         p = _random_simplex(rng, m)
         t = float(rng.choice([1e-8, 0.01, 1 / (2 * m) - 1e-6]))
-        out = klr.truncate_simplex(p, t)
+        out = truncate(p, t)
         if abs(out.sum() - 1.0) > 1e-10 or out.min() < t - 1e-15:
             return False
         order = np.argsort(p)
         if np.any(np.diff(out[order]) < 0):
             return False
-        if not np.array_equal(klr.truncate_simplex(out, t), out):
+        if not np.array_equal(truncate(out, t), out):
             return False
-    hand = klr.truncate_simplex(np.array([0.5, 0.4, 0.1]), 0.2)
+    hand = truncate(np.array([0.5, 0.4, 0.1]), 0.2)
     return bool(np.allclose(hand, [0.44, 0.36, 0.2], atol=1e-12))
 
 
@@ -122,11 +127,15 @@ CHECKS = (
 )
 
 
-def run_selftest(echo=print) -> bool:
+def run_selftest(echo=print, inject_fault: str | None = None) -> bool:
+    """Run every check; inject_fault="truncation" swaps in a faulty truncation."""
     rng = np.random.default_rng(12345)
     ok = True
     for name, check in CHECKS:
-        passed = bool(check(rng))
+        if name == "truncation" and inject_fault == "truncation":
+            passed = bool(check_truncation(rng, _floor_without_renormalization))
+        else:
+            passed = bool(check(rng))
         echo(f"{name}: {'PASS' if passed else 'FAIL'}")
         ok = ok and passed
     return ok

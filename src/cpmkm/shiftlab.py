@@ -169,20 +169,17 @@ def _stratified_split(labels: np.ndarray, frac: float, rng: np.random.Generator)
     return ~held, held
 
 
-def estimate_weights(method: str, model, source: Dataset, confusion,
-                     holdout_free_priors, target_probs) -> np.ndarray:
+def estimate_weights(method: str, model, confusion, holdout_free_priors,
+                     target_probs) -> np.ndarray:
     """Ratio estimate for one method from the shared model and splits."""
     if method == "cpmkm":
         return cpm_solve(MatchProblem(p_hat=holdout_free_priors,
                                       target_probs=target_probs))
-    if method == "bbse":
+    if method in ("bbse", "rlls"):
         pred = np.argmax(target_probs, axis=1)
         mu = np.bincount(pred, minlength=model.num_classes) / len(pred)
-        return bbse_solve(confusion, mu)
-    if method == "rlls":
-        pred = np.argmax(target_probs, axis=1)
-        mu = np.bincount(pred, minlength=model.num_classes) / len(pred)
-        return rlls_solve(confusion, mu)
+        solve = bbse_solve if method == "bbse" else rlls_solve
+        return solve(confusion, mu)
     if method == "mlls":
         return mlls_em(target_probs, holdout_free_priors)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -221,8 +218,7 @@ def run_benchmark(pool: Dataset, spec: ShiftSpec, methods=METHODS,
             target_probs = klr_predict(model, target_x)
             test_probs = klr_predict(model, test.features)
             for name in methods:
-                w = estimate_weights(name, model, source, confusion,
-                                     priors, target_probs)
+                w = estimate_weights(name, model, confusion, priors, target_probs)
                 if not np.any(w > 0):
                     w = np.ones_like(w)
                 q_hat = w * priors

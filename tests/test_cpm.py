@@ -200,3 +200,8 @@ def test_problem_validation():
         MatchProblem(p_hat=[0.6, 0.6], target_probs=[[0.5, 0.5]])
     with pytest.raises(ValueError):
         MatchProblem(p_hat=[0.5, 0.5], target_probs=[[0.9, 0.4]])
+    problem = MatchProblem(p_hat=[0.5, 0.5], target_probs=[[0.5, 0.5]])
+    for view in (cpm_objective, cpm_gradient):
+        for w in ([-0.5, 1.0], [0.0, 0.0]):
+            with pytest.raises(ValueError):
+                view(problem, np.array(w))

@@ -117,14 +117,16 @@ def test_objective_single_class_lambda_zero():
     assert klr_objective(np.zeros((5, 1)), k, [1] * 5, 0.0) == pytest.approx(np.log(2))
 
 
-def test_objective_bad_label():
+@pytest.mark.parametrize("view", [klr_objective, klr_gradient],
+                         ids=["klr_objective", "klr_gradient"])
+def test_objective_bad_label(view):
     k = gram(np.zeros((2, 1)), np.zeros((2, 1)), KernelParams(1.0))
     with pytest.raises(ValueError):
-        klr_objective(np.zeros((2, 1)), k, [1, 3], 0.1)
+        view(np.zeros((2, 1)), k, [1, 3], 0.1)
 
 
 def test_gradient_hand_case():
-    k = GramMatrix(values=np.eye(2), symmetric=True)
+    k = GramMatrix(values=np.eye(2))
     g = klr_gradient(np.zeros((2, 1)), k, [1, 2], 0.77)
     assert g.ravel() == pytest.approx([-0.25, 0.25])
 
