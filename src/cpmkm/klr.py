@@ -3,6 +3,10 @@
 Fits a multinomial logistic regression in the RKHS of a Gaussian kernel,
 with the last class pinned to a zero score.  Predictions are floored at a
 threshold t and renormalized so the cross-entropy loss never exceeds -log t.
+The fit runs on the pivoted Cholesky factor of the training Gram
+(K[p][:, p] = L L', rank r <= n), where the problem is well conditioned, and
+maps the factor coefficients back to one coefficient per support point; the
+fit's gtol bounds the gradient in the factor coefficients.
 Hyperparameters (inverse regularization C and kernel coefficient g) are
 selected by stratified k-fold cross-validation on the truncated CE loss.
 """
@@ -10,9 +14,12 @@ selected by stratified k-fold cross-validation on the truncated CE loss.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpstrf
 from scipy.optimize import minimize
 from scipy.special import logsumexp
 
@@ -145,9 +152,8 @@ def truncate_simplex(p, t: float) -> np.ndarray:
     return np.where(below, t, t + (p - t) * (1.0 - deficit / headroom))
 
 
-def _scores(gram_values: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Full M-column score matrix with the last class pinned to zero."""
-    f = gram_values @ alpha
+def _scores(f: np.ndarray) -> np.ndarray:
+    """Full M-column score matrix from M-1 columns, the last class pinned to zero."""
     return np.hstack([f, np.zeros((f.shape[0], 1))])
 
 
@@ -156,18 +162,26 @@ def _check_labels(labels: np.ndarray, num_classes: int):
         raise ValueError(f"labels must lie in 1..{num_classes}")
 
 
+def _ce_and_resid(f: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean CE of the M-1 score columns f and the residual softmax - one-hot,
+    which is n times the CE gradient in f."""
+    n = f.shape[0]
+    scores = _scores(f)
+    rows = np.arange(n)
+    ce = float(np.mean(logsumexp(scores, axis=1) - scores[rows, labels - 1]))
+    resid = softmax_scores(scores)
+    resid[rows, labels - 1] -= 1.0
+    return ce, resid[:, :-1]
+
+
 def _loss_and_grad(alpha: np.ndarray, k: np.ndarray, labels: np.ndarray,
                    lam: float) -> tuple[float, np.ndarray]:
     """Objective and gradient of the regularized CE from one score matrix."""
-    n = k.shape[0]
     _check_labels(labels, alpha.shape[1] + 1)
-    scores = _scores(k, alpha)
-    rows = np.arange(n)
-    ce = float(np.mean(logsumexp(scores, axis=1) - scores[rows, labels - 1]))
-    value = lam * float(np.sum(alpha * scores[:, :-1])) + ce
-    resid = softmax_scores(scores)
-    resid[rows, labels - 1] -= 1.0
-    return value, k @ (2.0 * lam * alpha + resid[:, :-1] / n)
+    f = k @ alpha
+    ce, resid = _ce_and_resid(f, labels)
+    value = lam * float(np.sum(alpha * f)) + ce
+    return value, k @ (2.0 * lam * alpha + resid / k.shape[0])
 
 
 def klr_objective(alpha, gram_self: GramMatrix, labels, lam: float) -> float:
@@ -184,10 +198,16 @@ def klr_gradient(alpha, gram_self: GramMatrix, labels, lam: float) -> np.ndarray
 
 def klr_fit(data, kernel: KernelParams, lam: float, trunc_t: float,
             max_iter: int = 500, gtol: float = 1e-6) -> KlrModel:
-    """Fit KLR by L-BFGS on the untruncated objective from alpha = 0.
+    """Fit KLR by L-BFGS on the pivoted Cholesky factor of the Gram.
 
-    Truncation only affects prediction; at t = 1e-8 it is essentially
-    inactive on training data, so the smooth objective is optimized.
+    LAPACK's pivoted Cholesky gives K[p][:, p] = L L' with L of rank r <= n.
+    With scores f = L beta and penalty lam * ||beta||^2 the objective equals
+    the alpha-space one, but its Hessian is well conditioned, so L-BFGS from
+    beta = 0 converges in tens of iterations; gtol bounds the beta-gradient.
+    The fit maps back by alpha[p[:r]] = L11^-T beta, alpha = 0 elsewhere, so
+    K alpha = L beta.  Truncation only affects prediction; at t = 1e-8 it is
+    essentially inactive on training data, so the smooth objective is
+    optimized.  An unconverged fit is returned with a RuntimeWarning.
     """
     x = np.asarray(data.features, dtype=float)
     labels = np.asarray(data.labels, dtype=int)
@@ -200,16 +220,33 @@ def klr_fit(data, kernel: KernelParams, lam: float, trunc_t: float,
     if (counts == 0).any():
         missing = int(np.argmin(counts)) + 1
         raise ValueError(f"class {missing} has no source examples")
-    k = gram(x, x, kernel).values
-    shape = (n, m - 1)
+    # the Gram is symmetric, so its transpose is the Fortran-ordered array
+    # LAPACK factors in place; info > 0 only reports rank < n
+    factor, piv, rank, info = dpstrf(gram(x, x, kernel).values.T, lower=1,
+                                     overwrite_a=1)
+    if info < 0:
+        raise np.linalg.LinAlgError(f"dpstrf: illegal value in argument {-info}")
+    chol = np.tril(factor[:, :rank])
+    del factor  # frees the n x n Gram before the solve
+    perm = piv - 1
+    pivot_labels = labels[perm]
+    shape = (rank, m - 1)
 
     def fun(flat):
-        value, grad = _loss_and_grad(flat.reshape(shape), k, labels, lam)
-        return value, grad.ravel()
+        beta = flat.reshape(shape)
+        ce, resid = _ce_and_resid(chol @ beta, pivot_labels)
+        grad = chol.T @ (resid / n) + 2.0 * lam * beta
+        return lam * float(np.sum(beta * beta)) + ce, grad.ravel()
 
-    res = minimize(fun, np.zeros(n * (m - 1)), jac=True, method="L-BFGS-B",
+    res = minimize(fun, np.zeros(rank * (m - 1)), jac=True, method="L-BFGS-B",
                    options={"maxiter": max_iter, "gtol": gtol, "ftol": 1e-15})
-    return KlrModel(support=x, alpha=res.x.reshape(shape), kernel=kernel,
+    if not res.success:
+        warnings.warn(f"klr_fit did not converge (L-BFGS status {res.status}: "
+                      f"{res.message})", RuntimeWarning, stacklevel=2)
+    alpha = np.zeros((n, m - 1))
+    alpha[perm[:rank]] = solve_triangular(chol[:rank], res.x.reshape(shape),
+                                          lower=True, trans="T")
+    return KlrModel(support=x, alpha=alpha, kernel=kernel,
                     lam=lam, trunc_t=trunc_t, num_classes=m)
 
 
@@ -222,7 +259,7 @@ def klr_predict(model: KlrModel, points) -> np.ndarray:
             f"got d={points.shape[1]}"
         )
     k = gram(points, model.support, model.kernel).values
-    probs = softmax_scores(_scores(k, model.alpha))
+    probs = softmax_scores(_scores(k @ model.alpha))
     return truncate_simplex(probs, model.trunc_t)
 
 

@@ -8,6 +8,7 @@ from cpmkm.kernel import GramMatrix, KernelParams, gram
 from cpmkm.klr import (CvGrid, KlrModel, cv_select, klr_fit, klr_gradient,
                        klr_objective, klr_predict, softmax_scores,
                        truncate_simplex)
+from cpmkm.shiftlab import gaussian_mixture_pool, sample_source
 
 
 def random_simplex(rng, m):
@@ -191,16 +192,46 @@ def test_fit_separable_margin():
     assert np.array_equal(pred, labels)
 
 
-def test_fit_gradient_near_zero_at_optimum():
+def small_draw():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((12, 2))
     labels = rng.integers(1, 3, 12)
     labels[:2] = [1, 2]
-    data = Dataset(features=x, labels=labels, num_classes=2)
-    model = klr_fit(data, KernelParams(1.0), 0.01, 1e-8)
-    k = gram(x, x, KernelParams(1.0))
-    g = klr_gradient(model.alpha, k, labels, 0.01)
+    return Dataset(features=x, labels=labels, num_classes=2)
+
+
+def mixture_draw():
+    pool = gaussian_mixture_pool(4000, seed=3, scale=0.35)
+    return sample_source(pool, 200, seed=4)[0]
+
+
+def duplicated_draw():
+    # every row twice: the Gram has rank at most half its size
+    data = small_draw()
+    return Dataset(features=np.r_[data.features, data.features],
+                   labels=np.r_[data.labels, data.labels], num_classes=2)
+
+
+@pytest.mark.parametrize("draw, lam", [(small_draw, 0.01), (mixture_draw, 1 / 200),
+                                       (duplicated_draw, 0.01)],
+                         ids=["small", "mixture-200", "duplicated-rows"])
+def test_fit_gradient_near_zero_at_optimum(draw, lam):
+    data = draw()
+    model = klr_fit(data, KernelParams(1.0), lam, 1e-8)
+    k = gram(data.features, data.features, KernelParams(1.0))
+    g = klr_gradient(model.alpha, k, data.labels, lam)
     assert np.abs(g).max() <= 1e-5
+    # identical rows get identical predictions
+    _, first, inverse = np.unique(data.features, axis=0, return_index=True,
+                                  return_inverse=True)
+    probs = klr_predict(model, data.features)
+    assert np.array_equal(probs, probs[first][inverse.ravel()])
+
+
+def test_fit_unconverged_warns():
+    data = small_draw()
+    with pytest.warns(RuntimeWarning, match="L-BFGS status 1"):
+        klr_fit(data, KernelParams(1.0), 0.01, 1e-8, max_iter=1)
 
 
 def test_fit_heavy_regularization():
