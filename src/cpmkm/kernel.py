@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 
 @dataclass(frozen=True)
@@ -35,6 +34,14 @@ def kernel_eval(x, y, params: KernelParams) -> float:
 
 
 def gram(rows, cols, params: KernelParams) -> GramMatrix:
+    """Gram matrix K[i, j] = k(rows[i], cols[j]).
+
+    Squared distances come from one matrix product, ||x||^2 + ||y||^2 - 2 x.y,
+    on points centred at the mean of `cols`, so offset features lose no
+    precision.  The few entries whose expanded value falls under the
+    round-off bound of the expansion are recomputed from the differences, so
+    identical points get exactly 1.  A self-Gram is exactly symmetric.
+    """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     cols = np.atleast_2d(np.asarray(cols, dtype=float))
     if rows.size == 0 or cols.size == 0:
@@ -44,10 +51,25 @@ def gram(rows, cols, params: KernelParams) -> GramMatrix:
             f"dimension mismatch: rows have d={rows.shape[1]}, cols d={cols.shape[1]}"
         )
     symmetric = rows is cols or (rows.shape == cols.shape and np.array_equal(rows, cols))
-    d2 = cdist(rows, cols, metric="sqeuclidean")
-    values = np.exp(-params.gamma_sq_inv * d2)
+    center = cols.mean(axis=0)
+    x = rows - center
+    # a separate y even when symmetric: numpy's syrk path for x @ x.T is slower
+    y = cols - center
+    xx = np.einsum("ij,ij->i", x, x)
+    yy = xx if symmetric else np.einsum("ij,ij->i", y, y)
+    d2 = x @ y.T
+    d2 *= -2.0
+    d2 += xx[:, None]
+    d2 += yy
+    # the expansion errs by at most a few d * eps * (|x|^2 + |y|^2)
+    bound = 4.0 * (x.shape[1] + 2) * np.finfo(float).eps * (xx.max() + yy.max())
+    i, j = np.divmod(np.flatnonzero(d2 < bound), d2.shape[1])
+    diff = x[i] - y[j]
+    d2[i, j] = np.einsum("ij,ij->i", diff, diff)
+    scale = -params.gamma_sq_inv
     if symmetric:
-        # exact unit diagonal regardless of cdist rounding
-        np.fill_diagonal(values, 1.0)
-        values = (values + values.T) / 2.0
-    return GramMatrix(values=values)
+        # the expansion's rounding is not symmetric; averaging is
+        d2 += d2.T.copy()
+        scale /= 2.0
+    d2 *= scale
+    return GramMatrix(values=np.exp(d2, out=d2))

@@ -258,8 +258,11 @@ def klr_predict(model: KlrModel, points) -> np.ndarray:
             f"dimension mismatch: model expects d={model.support.shape[1]}, "
             f"got d={points.shape[1]}"
         )
-    k = gram(points, model.support, model.kernel).values
-    probs = softmax_scores(_scores(k @ model.alpha))
+    # alpha is zero off the factor's r pivot rows: their Gram columns add nothing
+    live = np.any(model.alpha != 0, axis=1)
+    live[0] |= not live.any()  # one column keeps the Gram nonempty
+    k = gram(points, model.support[live], model.kernel).values
+    probs = softmax_scores(_scores(k @ model.alpha[live]))
     return truncate_simplex(probs, model.trunc_t)
 
 

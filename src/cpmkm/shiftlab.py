@@ -211,6 +211,7 @@ def run_benchmark(pool: Dataset, spec: ShiftSpec, methods=METHODS,
                       .generate_state(1)[0])
         selection = cv_select(train, cv_grid, seed_cv)
         model = selection.model
+        fingerprint = model.fingerprint()
         confusion = confusion_estimate(model, source.subset(held))
         for t in range(target_reps):
             q_true, target_x, test = sample_target_test(
@@ -232,7 +233,7 @@ def run_benchmark(pool: Dataset, spec: ShiftSpec, methods=METHODS,
                     q_hat=tuple(float(v) for v in q_hat),
                     q_true=tuple(float(v) for v in q_true),
                     seed_pair=(s, t),
-                    model_fingerprint=model.fingerprint(),
+                    model_fingerprint=fingerprint,
                 ))
     return reports
 

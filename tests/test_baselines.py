@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from cpmkm.baselines import (ConfusionMatrix, bbse_solve, confusion_estimate,
 from cpmkm.data import Dataset
 from cpmkm.kernel import KernelParams
 from cpmkm.klr import klr_fit
+from cpmkm.shiftlab import gaussian_mixture_posterior
 
 
 def separable_model_and_holdout(seed=0, n=40):
@@ -171,6 +174,72 @@ def test_mlls_likelihood_monotone():
             ll = mlls_log_likelihood(probs, priors, q)
             assert ll >= ll_prev - 1e-12
             ll_prev = ll
+
+
+def plain_em(probs, priors, steps, q=None):
+    """`steps` maps of plain prior-shift EM from q (default: the priors).
+
+    Leading axes of probs (..., n, M) and priors (..., M) batch problems.
+    """
+    ratio = probs / priors[..., None, :]
+    ratio_t = np.swapaxes(ratio, -1, -2).copy()
+    q = priors.copy() if q is None else q
+    for _ in range(steps):
+        # q(m) <- q(m) mean_i ratio_im / sum_j q(j) ratio_ij
+        q = q * (ratio_t @ (1.0 / (ratio @ q[..., None])))[..., 0] / ratio.shape[-2]
+    return q
+
+
+@pytest.mark.parametrize("m", [2, 5])
+def test_mlls_matches_long_plain_em(m):
+    rng = np.random.default_rng(11 + m)
+    probs = rng.random((5, 80, m)) + 1e-3
+    probs /= probs.sum(axis=2, keepdims=True)
+    priors = rng.random((5, m)) + 1e-3
+    priors /= priors.sum(axis=1, keepdims=True)
+    refs = plain_em(probs, priors, 50_000)
+    for p, pri, ref in zip(probs, priors, refs):
+        q = mlls_em(p, pri, tol=1e-12) * pri
+        # EM fixed point: one more map moves q by no more than the tolerance
+        assert np.abs(plain_em(p, pri, 1, q) - q).sum() <= 1e-12
+        assert mlls_log_likelihood(p, pri, q) >= mlls_log_likelihood(p, pri, ref) - 1e-12
+
+
+def test_mlls_cap_warns():
+    rows = np.array([[0.9, 0.1], [0.2, 0.8]] * 10)
+    with pytest.warns(RuntimeWarning, match="did not converge in 3 EM steps"):
+        mlls_em(rows, np.array([0.5, 0.5]), max_iter=3)
+
+
+def boundary_case():
+    """Target with no class 3, whose likelihood is flat in q3 at q3 = 0.
+
+    The posteriors are those of a 3-class Gaussian mixture; column 3 is
+    scaled so the derivative of the log-likelihood in q3 vanishes at the
+    2-class optimum, where plain EM creeps toward q3 = 0.
+    """
+    means = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
+    rng = np.random.default_rng(0)
+    x = means[rng.choice(2, size=200, p=[0.6, 0.4])] + rng.standard_normal((200, 2))
+    probs = gaussian_mixture_posterior(x, scale=1.0)
+    priors = np.full(3, 1 / 3)
+    ratio = probs / priors
+    two = probs[:, :2] / probs[:, :2].sum(axis=1, keepdims=True)
+    q12 = mlls_em(two, np.array([0.5, 0.5])) * 0.5
+    probs[:, 2] /= np.mean(ratio[:, 2] / (ratio[:, :2] @ q12))
+    return probs / probs.sum(axis=1, keepdims=True), priors, q12
+
+
+def test_mlls_boundary_maximum_converges():
+    probs, priors, q12 = boundary_case()
+    # plain EM still moves q by more than the tolerance after 10 000 maps
+    q = plain_em(probs, priors, 10_000)
+    assert np.abs(plain_em(probs, priors, 1, q) - q).sum() > 1e-8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = mlls_em(probs, priors) * priors
+    assert q[2] <= 1e-3
+    assert np.abs(q[:2] - q12).max() <= 1e-3
 
 
 def test_all_estimators_return_ones_without_shift():

@@ -83,3 +83,47 @@ def test_gram_matrix_entries_in_unit_interval():
              KernelParams(2.0))
     assert np.all(g.values > 0) and np.all(g.values <= 1)
     assert isinstance(g, GramMatrix)
+
+
+def test_gram_matches_kernel_eval_in_d20():
+    rng = np.random.default_rng(1)
+    x, y = rng.standard_normal((30, 20)), rng.standard_normal((17, 20))
+    p = KernelParams(0.0625)
+    ref = np.array([[kernel_eval(a, b, p) for b in y] for a in x])
+    assert np.abs(gram(x, y, p).values - ref).max() <= 1e-13
+
+
+def test_gram_offset_features_keep_precision():
+    # the expanded distance on uncentred points ~1e4 would lose ~1e-8
+    rng = np.random.default_rng(2)
+    x = 1e4 + rng.standard_normal((25, 5))
+    y = 1e4 + rng.standard_normal((20, 5))
+    ref = np.exp(-0.5 * ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2))
+    assert np.abs(gram(x, y, KernelParams(0.5)).values - ref).max() <= 1e-12
+
+
+def test_gram_shared_point_is_exactly_one():
+    rng = np.random.default_rng(3)
+    cols = 3.0 + rng.standard_normal((40, 20))
+    rows = np.r_[rng.standard_normal((5, 20)), cols[7:8], cols[31:32]]
+    g = gram(rows, cols, KernelParams(0.0625)).values
+    assert g[5, 7] == 1.0 and g[6, 31] == 1.0
+
+
+def test_gram_identical_rows_give_identical_rows():
+    rng = np.random.default_rng(4)
+    rows = rng.standard_normal((300, 20))
+    rows[[17, 150, 299]] = rows[3]
+    g = gram(rows, rng.standard_normal((90, 20)), KernelParams(0.1)).values
+    for i in (17, 150, 299):
+        assert np.array_equal(g[i], g[3])
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(1, 80), st.integers(1, 30), st.integers(0, 10_000))
+def test_self_gram_exactly_symmetric_unit_diagonal(n, d, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((n, d)) * rng.uniform(0.1, 10) + rng.uniform(-100, 100)
+    g = gram(pts, pts, KernelParams(0.3)).values
+    assert np.array_equal(g, g.T)
+    assert np.all(np.diag(g) == 1.0)

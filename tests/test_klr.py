@@ -362,3 +362,17 @@ def test_model_json_roundtrip():
     assert np.array_equal(back.support, model.support)
     assert back.kernel == model.kernel
     assert back.fingerprint() == model.fingerprint()
+
+
+def test_predict_prunes_zero_coefficient_rows():
+    # at g = 1/64 the 200-point 2-d Gram is far from full rank, so the factor
+    # fit leaves most alpha rows at zero
+    data = mixture_draw()
+    model = klr_fit(data, KernelParams(1 / 64), 1 / 200, 1e-8)
+    live = np.any(model.alpha != 0, axis=1)
+    assert 0 < live.sum() < len(live) // 2
+    points = np.random.default_rng(9).standard_normal((50, 2))
+    k = gram(points, model.support, model.kernel).values
+    f = np.hstack([k @ model.alpha, np.zeros((50, 1))])
+    ref = truncate_simplex(softmax_scores(f), model.trunc_t)
+    assert np.abs(klr_predict(model, points) - ref).max() <= 1e-12
