@@ -83,6 +83,20 @@ def rlls_solve(confusion: ConfusionMatrix, target_pred_dist,
     return np.maximum(1.0 + theta, 0.0)
 
 
+def _em_map(ratio: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """One prior-shift EM map, q(m) <- q(m) mean_i ratio_im / sum_j q(j) ratio_ij,
+    for ratio_im = p(m|x_i) / p(m)."""
+    denom = ratio @ q
+    if not np.all(np.isfinite(denom)) or np.any(denom <= 0):
+        raise ValueError("non-finite likelihood in EM iteration")
+    return q * (ratio.T @ (1.0 / denom)) / ratio.shape[0]
+
+
+def _mean_log_lik(ratio: np.ndarray, q: np.ndarray):
+    """Mean target log-likelihood of priors q, up to a constant in q."""
+    return np.mean(np.log(ratio @ q))
+
+
 def mlls_em(target_probs, source_priors, tol: float = 1e-8,
             max_iter: int = 10000) -> np.ndarray:
     """EM on the target class priors; returns the ratio w_m = q(m)/p(m).
@@ -105,21 +119,14 @@ def mlls_em(target_probs, source_priors, tol: float = 1e-8,
     if np.any(priors <= 0):
         raise ValueError("source priors must be strictly positive")
     ratio = probs / priors
-    n = ratio.shape[0]
     steps = 0
 
     def em_step(q):
         """One counted EM map and whether it moved q by at most tol."""
         nonlocal steps
         steps += 1
-        denom = ratio @ q
-        if not np.all(np.isfinite(denom)) or np.any(denom <= 0):
-            raise ValueError("non-finite likelihood in EM iteration")
-        q_next = q * (ratio.T @ (1.0 / denom)) / n
+        q_next = _em_map(ratio, q)
         return q_next, np.abs(q_next - q).sum() <= tol
-
-    def log_lik(q):
-        return np.mean(np.log(ratio @ q))
 
     q, done = priors.copy(), False
     while not done and steps < max_iter:
@@ -137,7 +144,8 @@ def mlls_em(target_probs, source_priors, tol: float = 1e-8,
         if vv > 0:
             s = -np.sqrt((r @ r) / vv)
             q_ext = q0 - 2.0 * s * r + s * s * v
-            if np.all(q_ext > 0) and log_lik(q_ext) >= log_lik(q):
+            if (np.all(q_ext > 0)
+                    and _mean_log_lik(ratio, q_ext) >= _mean_log_lik(ratio, q)):
                 q = q_ext
         q, done = em_step(q)  # the stabilising map
     if not done:
@@ -149,4 +157,4 @@ def mlls_em(target_probs, source_priors, tol: float = 1e-8,
 def mlls_log_likelihood(target_probs, source_priors, q) -> float:
     """Mean target log-likelihood of priors q under the fixed source posteriors."""
     ratio = np.atleast_2d(np.asarray(target_probs, dtype=float)) / np.asarray(source_priors)
-    return float(np.mean(np.log(ratio @ np.asarray(q, dtype=float))))
+    return float(_mean_log_lik(ratio, np.asarray(q, dtype=float)))

@@ -1,7 +1,9 @@
 """Command-line front-end for adaptation, baselines, and benchmarking.
 
-Exit codes: 0 success, 1 validation failure, 2 numerical failure,
-3 selftest property failure.
+Exit codes: 0 success; 1 validation failure (unreadable or malformed input,
+unknown config key); 2 numerical failure (numpy.linalg.LinAlgError) or a
+usage error click reports (a missing required flag, a flag or config value
+of the wrong type); 3 selftest property failure.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .adapt import AdaptedModel, adapt_pipeline, predict_target, target_class_probs
-from .data import Dataset, apply_standardization, load_csv, load_feature_csv
+from .adapt import adapt_pipeline, predict_target, target_class_probs
+from .data import apply_standardization, load_csv, load_feature_csv
 from .klr import CvGrid
-from .shiftlab import (METHODS, ShiftSpec, aggregate, metric_acc, metric_mse,
+from .shiftlab import (ShiftSpec, aggregate, metric_acc, metric_mse,
                        run_benchmark, sample_shift_scenario)
 
 SCHEMA_VERSION = 1
@@ -37,9 +39,14 @@ def _parse_grid(c_grid, g_grid, folds, trunc_t) -> CvGrid:
     return CvGrid(**kwargs)
 
 
-def _load_config(path):
+def _load_config(ctx, param, path):
+    """Make a JSON object of parameter values the command's defaults.
+
+    Runs before the other parameters are processed, so flags still win, and
+    config values are converted and checked by the flags' own types.
+    """
     if path is None:
-        return {}
+        return
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -47,31 +54,38 @@ def _load_config(path):
         _fail(f"cannot read config {path}: {exc}")
     if not isinstance(cfg, dict):
         _fail(f"config {path} must be a JSON object")
-    return cfg
-
-
-def _merged(ctx, config, known_keys):
-    """Config-file values fill in parameters the flags left at their defaults."""
-    unknown = set(config) - set(known_keys)
+    unknown = set(cfg) - {p.name for p in ctx.command.params if p.expose_value}
     if unknown:
         _fail(f"unknown config keys: {sorted(unknown)}")
-    out = {}
-    for key in known_keys:
-        if key in config and ctx.get_parameter_source(key).name == "DEFAULT":
-            out[key] = config[key]
-        else:
-            out[key] = ctx.params[key]
-    return out
+    ctx.default_map = cfg
 
 
 def _write_json(path, payload):
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
+def _write_csv(path, features, labels=None):
+    """Header CSV of columns x0..x{d-1}, plus an integer `label` column if given."""
+    header = [f"x{i}" for i in range(features.shape[1])]
+    if labels is not None:
+        header.append("label")
+    lines = [",".join(header)]
+    for i, row in enumerate(features):
+        cells = [repr(float(v)) for v in row]
+        if labels is not None:
+            cells.append(str(int(labels[i])))
+        lines.append(",".join(cells))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 @click.group()
 def main():
     """Label shift adaptation via class probability matching."""
 
+
+config_option = click.option(
+    "--config", type=click.Path(), is_eager=True, expose_value=False,
+    callback=_load_config, help="JSON object keyed by parameter name; flags override it.")
 
 _grid_options = [
     click.option("--c-grid", default=None, help="Comma-separated C values."),
@@ -94,50 +108,39 @@ def grid_options(fn):
 @click.option("--standardize/--no-standardize", default=True, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", "out_path", default="adapted.json", show_default=True)
-@click.option("--config", default=None, type=click.Path())
+@config_option
 @grid_options
-@click.pass_context
-def cmd_adapt(ctx, source_path, target_path, label_column, standardize, seed,
-              out_path, config, c_grid, g_grid, folds, trunc_t):
+def cmd_adapt(source_path, target_path, label_column, standardize, seed, out_path,
+              c_grid, g_grid, folds, trunc_t):
     """Fit the full pipeline and write the adapted model plus predictions."""
-    cfg = _load_config(config)
-    p = _merged(ctx, cfg, ["source_path", "target_path", "label_column",
-                           "standardize", "seed", "out_path",
-                           "c_grid", "g_grid", "folds", "trunc_t"])
-    for path in (p["source_path"], p["target_path"]):
-        if not Path(path).exists():
-            _fail(f"file not found: {path}")
     try:
-        source = load_csv(p["source_path"], p["label_column"], p["standardize"])
-        target_x = load_feature_csv(p["target_path"])
+        source = load_csv(source_path, label_column, standardize)
+        target_x = load_feature_csv(target_path)
         if target_x.shape[1] != source.dim:
-            _fail(f"target has {target_x.shape[1]} features, source has {source.dim}")
-        if p["standardize"]:
+            raise ValueError(f"target has {target_x.shape[1]} features, "
+                             f"source has {source.dim}")
+        if standardize:
             target_x = apply_standardization(target_x, source.feature_mean,
                                              source.feature_std)
-        grid = _parse_grid(p["c_grid"], p["g_grid"], p["folds"], p["trunc_t"])
-    except ValueError as exc:
-        _fail(str(exc))
-    try:
-        model = adapt_pipeline(source, target_x, grid, p["seed"])
-        q_probs, labels = predict_target(model, target_x)
+        grid = _parse_grid(c_grid, g_grid, folds, trunc_t)
+        model = adapt_pipeline(source, target_x, grid, seed)
+        _, labels = predict_target(model, target_x)
         q_y = target_class_probs(model)
-    except ValueError as exc:
-        _fail(str(exc))
-    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        _write_json(out_path, {
+            "schema_version": SCHEMA_VERSION,
+            "adapted_model": json.loads(model.to_json()),
+            "w_hat": list(model.weights),
+            "q_hat": list(q_y),
+            "cv_table": [list(row) for row in model.cv_table],
+            "target_labels": [int(v) for v in labels],
+        })
+    except np.linalg.LinAlgError as exc:  # a ValueError subclass: caught first
         _fail(f"numerical failure: {exc}", code=2)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "adapted_model": json.loads(model.to_json()),
-        "w_hat": list(model.weights),
-        "q_hat": list(q_y),
-        "cv_table": [list(row) for row in model.cv_table],
-        "target_labels": [int(v) for v in labels],
-    }
-    _write_json(p["out_path"], payload)
+    except (OSError, ValueError) as exc:
+        _fail(str(exc))
     click.echo(f"w_hat: {np.round(model.weights, 4).tolist()}")
     click.echo(f"q_hat: {np.round(q_y, 4).tolist()}")
-    click.echo(f"wrote {p['out_path']}")
+    click.echo(f"wrote {out_path}")
 
 
 @main.command("benchmark")
@@ -154,51 +157,38 @@ def cmd_adapt(ctx, source_path, target_path, label_column, standardize, seed,
 @click.option("--target-reps", default=10, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", "out_path", default="benchmark.json", show_default=True)
-@click.option("--config", default=None, type=click.Path())
+@config_option
 @grid_options
-@click.pass_context
-def cmd_benchmark(ctx, pool_path, label_column, standardize, alpha, mq, n_p, n_q,
-                  n_t, methods, source_reps, target_reps, seed, out_path, config,
+def cmd_benchmark(pool_path, label_column, standardize, alpha, mq, n_p, n_q, n_t,
+                  methods, source_reps, target_reps, seed, out_path,
                   c_grid, g_grid, folds, trunc_t):
     """Run the repeated-trial shift benchmark and write the JSON report."""
-    cfg = _load_config(config)
-    p = _merged(ctx, cfg, ["pool_path", "label_column", "standardize", "alpha",
-                           "mq", "n_p", "n_q", "n_t", "methods", "source_reps",
-                           "target_reps", "seed", "out_path",
-                           "c_grid", "g_grid", "folds", "trunc_t"])
-    if not Path(p["pool_path"]).exists():
-        _fail(f"file not found: {p['pool_path']}")
-    method_list = tuple(m.strip() for m in p["methods"].split(",") if m.strip())
-    for name in method_list:
-        if name not in METHODS:
-            _fail(f"unknown method {name!r}; expected one of {METHODS}")
+    method_list = tuple(m.strip() for m in methods.split(",") if m.strip())
     try:
-        pool = load_csv(p["pool_path"], p["label_column"], p["standardize"])
-        spec = ShiftSpec(alpha=p["alpha"], m_q=p["mq"] or pool.num_classes,
-                         n_p=p["n_p"], n_q=p["n_q"], n_t=p["n_t"], seed=p["seed"])
-        grid = _parse_grid(p["c_grid"], p["g_grid"], p["folds"], p["trunc_t"])
-        reports = run_benchmark(pool, spec, method_list,
-                                p["source_reps"], p["target_reps"], grid)
-    except ValueError as exc:
-        _fail(str(exc))
-    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        pool = load_csv(pool_path, label_column, standardize)
+        spec = ShiftSpec(alpha=alpha, m_q=mq or pool.num_classes,
+                         n_p=n_p, n_q=n_q, n_t=n_t, seed=seed)
+        grid = _parse_grid(c_grid, g_grid, folds, trunc_t)
+        reports = run_benchmark(pool, spec, method_list, source_reps, target_reps, grid)
+        table = aggregate(reports)
+        _write_json(out_path, {
+            "schema_version": SCHEMA_VERSION,
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+            "spec": {"alpha": spec.alpha, "m_q": spec.m_q, "n_p": spec.n_p,
+                     "n_q": spec.n_q, "n_t": spec.n_t, "seed": spec.seed,
+                     "source_reps": source_reps, "target_reps": target_reps,
+                     "methods": list(method_list)},
+            "reports": [r.to_dict() for r in reports],
+            "aggregate": table,
+        })
+    except np.linalg.LinAlgError as exc:  # a ValueError subclass: caught first
         _fail(f"numerical failure: {exc}", code=2)
-    table = aggregate(reports)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "spec": {"alpha": spec.alpha, "m_q": spec.m_q, "n_p": spec.n_p,
-                 "n_q": spec.n_q, "n_t": spec.n_t, "seed": spec.seed,
-                 "source_reps": p["source_reps"], "target_reps": p["target_reps"],
-                 "methods": list(method_list)},
-        "reports": [r.to_dict() for r in reports],
-        "aggregate": table,
-    }
-    _write_json(p["out_path"], payload)
+    except (OSError, ValueError) as exc:
+        _fail(str(exc))
     for name, row in table.items():
         click.echo(f"{name}: ACC {row['acc_mean']:.4f} ({row['acc_std']:.4f})  "
                    f"MSE {row['mse_mean']:.6f} ({row['mse_std']:.6f})")
-    click.echo(f"wrote {p['out_path']}")
+    click.echo(f"wrote {out_path}")
 
 
 @main.command("simulate")
@@ -213,39 +203,21 @@ def cmd_benchmark(ctx, pool_path, label_column, standardize, alpha, mq, n_p, n_q
 @click.option("--out-dir", default="scenario", show_default=True)
 def cmd_simulate(pool_path, label_column, alpha, mq, n_p, n_q, n_t, seed, out_dir):
     """Generate one shift scenario (source/target/test CSVs plus q_true)."""
-    if not Path(pool_path).exists():
-        _fail(f"file not found: {pool_path}")
+    out = Path(out_dir)
     try:
         pool = load_csv(pool_path, label_column, standardize=False)
         spec = ShiftSpec(alpha=alpha, m_q=mq or pool.num_classes,
                          n_p=n_p, n_q=n_q, n_t=n_t, seed=seed)
         source, target_x, test, q_true = sample_shift_scenario(pool, spec)
-    except ValueError as exc:
+        out.mkdir(parents=True, exist_ok=True)
+        _write_csv(out / "source.csv", source.features, source.labels)
+        _write_csv(out / "target.csv", target_x)
+        _write_csv(out / "test.csv", test.features, test.labels)
+        _write_json(out / "q_true.json", {"schema_version": SCHEMA_VERSION,
+                                          "q_true": q_true.tolist()})
+    except (OSError, ValueError) as exc:
         _fail(str(exc))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_labeled_csv(out / "source.csv", source)
-    _write_feature_csv(out / "target.csv", target_x)
-    _write_labeled_csv(out / "test.csv", test)
-    _write_json(out / "q_true.json", {"schema_version": SCHEMA_VERSION,
-                                      "q_true": q_true.tolist()})
     click.echo(f"wrote scenario to {out}/")
-
-
-def _write_labeled_csv(path, ds: Dataset):
-    header = [f"x{i}" for i in range(ds.dim)] + ["label"]
-    lines = [",".join(header)]
-    for row, lab in zip(ds.features, ds.labels):
-        lines.append(",".join(repr(float(v)) for v in row) + f",{int(lab)}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _write_feature_csv(path, x):
-    header = [f"x{i}" for i in range(x.shape[1])]
-    lines = [",".join(header)]
-    for row in x:
-        lines.append(",".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 @main.command("evaluate")
@@ -259,9 +231,6 @@ def _write_feature_csv(path, x):
               help="JSON with a q_true array (required with --q-hat).")
 def cmd_evaluate(predictions, truth, q_hat, q_true):
     """Compute ACC (and MSE, if class probability files are given)."""
-    for path in filter(None, (predictions, truth, q_hat, q_true)):
-        if not Path(path).exists():
-            _fail(f"file not found: {path}")
     try:
         pred = load_feature_csv(predictions).ravel().astype(int)
         true = load_feature_csv(truth).ravel().astype(int)
@@ -272,7 +241,7 @@ def cmd_evaluate(predictions, truth, q_hat, q_true):
             qh = np.array(json.loads(Path(q_hat).read_text()).get("q_hat"))
             qt = np.array(json.loads(Path(q_true).read_text()).get("q_true"))
             click.echo(f"MSE: {metric_mse(qh, qt):.8f}")
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         _fail(str(exc))
 
 

@@ -12,14 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-FLOOR_S = 1e-12
+FLOOR_S = 1e-12  # floor on each target point's denominator sum_m w_m p(m|x)
 
 
 @dataclass(frozen=True)
 class MatchProblem:
     p_hat: np.ndarray          # (M,) source class frequencies
     target_probs: np.ndarray   # (n_q, M) source posteriors on target points
-    floor_s: float = FLOOR_S
 
     def __post_init__(self):
         p = np.asarray(self.p_hat, dtype=float)
@@ -58,7 +57,7 @@ def _check_w(w, num_classes: int) -> np.ndarray:
 
 def _denominators(problem: MatchProblem, w: np.ndarray) -> np.ndarray:
     s = problem.target_probs @ w
-    return np.maximum(s, problem.floor_s)
+    return np.maximum(s, FLOOR_S)
 
 
 def reweighted_target_probs(problem: MatchProblem, w) -> np.ndarray:
@@ -98,7 +97,7 @@ def cpm_solve(problem: MatchProblem, max_iter: int = 1000) -> np.ndarray:
         wc = np.maximum(w, 0.0)
         # all-zero w lies outside the domain _check_w enforces
         if not np.any(wc > 0):
-            wc = np.full(m, problem.floor_s)
+            wc = np.full(m, FLOOR_S)
         return _loss_and_grad(problem, wc)
 
     res = minimize(fun, w0, jac=True, method="L-BFGS-B",

@@ -1,4 +1,4 @@
-"""Dataset container and CSV ingestion."""
+"""Dataset container, CSV ingestion and per-class shuffles."""
 
 from __future__ import annotations
 
@@ -61,74 +61,76 @@ def apply_standardization(features: np.ndarray, mean: np.ndarray, std: np.ndarra
     return (features - mean) / std
 
 
-def load_csv(path, label_column: str, standardize: bool = True) -> Dataset:
-    """Read a header CSV into a Dataset.
+def shuffled_class_indices(labels: np.ndarray, rng: np.random.Generator):
+    """Indices of each class, classes in sorted order, each shuffled by rng."""
+    for cls in np.unique(labels):
+        idx = np.flatnonzero(labels == cls)
+        rng.shuffle(idx)
+        yield idx
 
-    Labels are re-encoded to contiguous 1..M in sorted order of the original
-    values; the mapping and (if standardizing) the column statistics are kept
-    on the Dataset for reuse on target data.
+
+def _read_csv(path) -> tuple[list[str], np.ndarray]:
+    """Header and (n, width) finite float cells of a header CSV.
+
+    Blank rows are skipped; every other row must have one cell per header
+    column.  Errors name the file row (the header is row 1) and the column.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"{path}: empty file")
-        if label_column not in header:
-            raise ValueError(f"{path}: no column named {label_column!r}")
-        label_idx = header.index(label_column)
-        raw_labels = []
-        rows = []
+        width = len(header)
+        rows, row_numbers = [], []
         for r, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != width:
+                raise ValueError(f"{path}: row {r} has {len(row)} cells, "
+                                 f"the header has {width}")
+            cells = iter(row)
             try:
-                raw_labels.append(int(float(row[label_idx])))
-            except (ValueError, IndexError):
-                raise ValueError(f"{path}: unparseable label at row {r}, "
-                                 f"column {label_idx + 1}")
-            feats = []
-            for c, cell in enumerate(row):
-                if c == label_idx:
-                    continue
-                try:
-                    feats.append(float(cell))
-                except ValueError:
-                    raise ValueError(f"{path}: unparseable cell at row {r}, column {c + 1}")
-            rows.append(feats)
+                rows.append([float(cell) for cell in cells])
+            except ValueError:
+                # the bad cell is the last one the comprehension consumed
+                column = width - sum(1 for _ in cells)
+                raise ValueError(f"{path}: unparseable cell at row {r}, "
+                                 f"column {column}")
+            row_numbers.append(r)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    distinct = sorted(set(raw_labels))
+    values = np.array(rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        i, c = bad[0]
+        raise ValueError(f"{path}: non-finite value at row {row_numbers[i]}, "
+                         f"column {c + 1}")
+    return header, values
+
+
+def load_csv(path, label_column: str, standardize: bool = True) -> Dataset:
+    """Read a header CSV into a Dataset.
+
+    Labels are truncated to integers and re-encoded to contiguous 1..M in
+    sorted order of the original values; the mapping and (if standardizing)
+    the column statistics are kept on the Dataset for reuse on target data.
+    """
+    header, values = _read_csv(path)
+    if label_column not in header:
+        raise ValueError(f"{path}: no column named {label_column!r}")
+    label_idx = header.index(label_column)
+    distinct, labels = np.unique(np.trunc(values[:, label_idx]), return_inverse=True)
     if len(distinct) < 2:
         raise ValueError(f"{path}: only one class present")
-    mapping = {orig: i + 1 for i, orig in enumerate(distinct)}
-    labels = np.array([mapping[v] for v in raw_labels], dtype=int)
-    features = np.array(rows, dtype=float)
-    if not np.all(np.isfinite(features)):
-        raise ValueError(f"{path}: non-finite feature value")
+    mapping = {int(orig): i + 1 for i, orig in enumerate(distinct)}
+    features = np.delete(values, label_idx, axis=1)
     mean = std = None
     if standardize:
         features, mean, std = standardize_columns(features)
-    return Dataset(features=features, labels=labels, num_classes=len(distinct),
+    return Dataset(features=features, labels=labels + 1, num_classes=len(distinct),
                    label_mapping=mapping, feature_mean=mean, feature_std=std)
 
 
 def load_feature_csv(path) -> np.ndarray:
     """Read a header CSV of numeric feature columns only (no label column)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file")
-        rows = []
-        for r, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError:
-                raise ValueError(f"{path}: unparseable cell at row {r}")
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    return np.array(rows, dtype=float)
+    return _read_csv(path)[1]

@@ -23,6 +23,7 @@ from scipy.linalg.lapack import dpstrf
 from scipy.optimize import minimize
 from scipy.special import logsumexp
 
+from .data import Dataset, shuffled_class_indices
 from .kernel import GramMatrix, KernelParams, gram
 
 MODEL_FORMAT_VERSION = 1
@@ -266,17 +267,6 @@ def klr_predict(model: KlrModel, points) -> np.ndarray:
     return truncate_simplex(probs, model.trunc_t)
 
 
-def _stratified_folds(labels: np.ndarray, folds: int, rng: np.random.Generator):
-    """Assign each index a fold so every class spreads across folds."""
-    n = len(labels)
-    assignment = np.empty(n, dtype=int)
-    for cls in np.unique(labels):
-        idx = np.flatnonzero(labels == cls)
-        rng.shuffle(idx)
-        assignment[idx] = np.arange(len(idx)) % folds
-    return assignment
-
-
 def cv_select(data, cv_grid: CvGrid, seed: int) -> CvSelection:
     """Grid search (C, g) by stratified k-fold CV on the truncated CE loss.
 
@@ -284,8 +274,6 @@ def cv_select(data, cv_grid: CvGrid, seed: int) -> CvSelection:
     then smaller g; the score table is fully materialized so the selection is
     independent of evaluation order.
     """
-    from .data import Dataset
-
     labels = np.asarray(data.labels, dtype=int)
     n = len(labels)
     if n < cv_grid.folds:
@@ -295,7 +283,10 @@ def cv_select(data, cv_grid: CvGrid, seed: int) -> CvSelection:
     if counts.min() < 2:
         raise ValueError("a class has too few examples to stratify across folds")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    assignment = _stratified_folds(labels, cv_grid.folds, rng)
+    # every class spreads across the folds
+    assignment = np.empty(n, dtype=int)
+    for idx in shuffled_class_indices(labels, rng):
+        assignment[idx] = np.arange(len(idx)) % cv_grid.folds
 
     pairs = [(c, g) for c in cv_grid.c_values for g in cv_grid.g_values]
     table = []

@@ -6,7 +6,7 @@ import numpy as np
 
 from . import cpm, klr
 from .adapt import reweight_posterior
-from .baselines import mlls_em, mlls_log_likelihood
+from .baselines import _em_map, mlls_em, mlls_log_likelihood
 from .kernel import KernelParams, gram, kernel_eval
 
 
@@ -107,9 +107,7 @@ def check_mlls_monotone(rng) -> bool:
     ll_prev = mlls_log_likelihood(probs, priors, priors)
     q = priors
     for _ in range(25):
-        ratio = probs / priors
-        weighted = ratio * q
-        q = (weighted / weighted.sum(axis=1, keepdims=True)).mean(axis=0)
+        q = _em_map(probs / priors, q)
         ll = mlls_log_likelihood(probs, priors, q)
         if ll < ll_prev - 1e-12:
             return False

@@ -15,7 +15,7 @@ import numpy as np
 from .adapt import reweight_posterior
 from .baselines import bbse_solve, confusion_estimate, mlls_em, rlls_solve
 from .cpm import MatchProblem, cpm_solve, empirical_class_probs
-from .data import Dataset
+from .data import Dataset, shuffled_class_indices
 from .klr import CvGrid, cv_select, klr_predict
 
 METHODS = ("cpmkm", "bbse", "rlls", "mlls")
@@ -159,12 +159,8 @@ def metric_mse(q_hat, q_true) -> float:
 def _stratified_split(labels: np.ndarray, frac: float, rng: np.random.Generator):
     """Per-class split; returns (kept_mask, held_mask) with `frac` held out."""
     held = np.zeros(len(labels), dtype=bool)
-    for cls in np.unique(labels):
-        idx = np.flatnonzero(labels == cls)
-        rng.shuffle(idx)
-        k = max(1, int(round(frac * len(idx))))
-        if k >= len(idx):
-            k = len(idx) - 1
+    for idx in shuffled_class_indices(labels, rng):
+        k = min(max(1, int(round(frac * len(idx)))), len(idx) - 1)
         held[idx[:k]] = True
     return ~held, held
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from cpmkm.baselines import bbse_solve, confusion_estimate, mlls_em, mlls_log_likelihood
+from cpmkm.baselines import (_em_map, bbse_solve, confusion_estimate, mlls_em,
+                             mlls_log_likelihood)
 from cpmkm.cli import main as cli_main
 from cpmkm.cpm import (MatchProblem, cpm_gradient, cpm_objective, cpm_solve,
                        empirical_class_probs)
@@ -274,9 +275,7 @@ def test_criterion_10_mlls_monotonicity():
         q = priors.copy()
         ll_prev = mlls_log_likelihood(probs, priors, q)
         for _ in range(60):
-            ratio = probs / priors
-            weighted = ratio * q
-            q = (weighted / weighted.sum(axis=1, keepdims=True)).mean(axis=0)
+            q = _em_map(probs / priors, q)
             ll = mlls_log_likelihood(probs, priors, q)
             ok &= ll >= ll_prev - 1e-12
             ll_prev = ll

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cpmkm.baselines import (ConfusionMatrix, bbse_solve, confusion_estimate,
+from cpmkm.baselines import (ConfusionMatrix, _em_map, bbse_solve, confusion_estimate,
                              mlls_em, mlls_log_likelihood, rlls_solve)
 from cpmkm.data import Dataset
 from cpmkm.kernel import KernelParams
@@ -167,9 +167,7 @@ def test_mlls_likelihood_monotone():
         q = priors.copy()
         ll_prev = mlls_log_likelihood(probs, priors, q)
         for _ in range(40):
-            ratio = probs / priors
-            weighted = ratio * q
-            q = (weighted / weighted.sum(axis=1, keepdims=True)).mean(axis=0)
+            q = _em_map(probs / priors, q)
             assert q.sum() == pytest.approx(1.0, abs=1e-12)
             ll = mlls_log_likelihood(probs, priors, q)
             assert ll >= ll_prev - 1e-12

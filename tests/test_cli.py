@@ -1,9 +1,11 @@
 import json
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from cpmkm import cli
 from cpmkm.cli import main
 from cpmkm.shiftlab import gaussian_mixture_pool
 
@@ -64,6 +66,97 @@ def test_adapt_unknown_config_key(pool_csv, tmp_path):
               "--config", cfg)
     assert res.exit_code == 1
     assert "bogus_key" in res.output
+
+
+@pytest.fixture(scope="module")
+def scenario(pool_csv, tmp_path_factory):
+    out = tmp_path_factory.mktemp("scenario")
+    res = run("simulate", "--pool", pool_csv, "--np", "150", "--nq", "100",
+              "--nt", "30", "--seed", "2", "--out-dir", out)
+    assert res.exit_code == 0, res.output
+    return {"source_path": str(out / "source.csv"),
+            "target_path": str(out / "target.csv")}
+
+
+def adapt_with_config(tmp_path, config, *flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    return run("adapt", "--config", cfg, *flags)
+
+
+@pytest.mark.parametrize("config, flags", [
+    ({"folds": "3", "seed": "5"}, ["--folds", "3", "--seed", "5"]),
+    ({"standardize": "no"}, ["--no-standardize"]),
+], ids=["folds-seed", "standardize"])
+def test_config_values_typed_like_flags(scenario, tmp_path, config, flags):
+    grid = {"c_grid": "1.0", "g_grid": "1.0"}
+    res = adapt_with_config(tmp_path, {**scenario, **grid, **config,
+                                       "out_path": str(tmp_path / "config.json")})
+    assert res.exit_code == 0, res.output
+    res = run("adapt", "--source", scenario["source_path"],
+              "--target", scenario["target_path"], "--c-grid", "1.0",
+              "--g-grid", "1.0", *flags, "--out", tmp_path / "flags.json")
+    assert res.exit_code == 0, res.output
+    from_config = (tmp_path / "config.json").read_text()
+    assert from_config == (tmp_path / "flags.json").read_text()
+    res = run("adapt", "--source", scenario["source_path"],
+              "--target", scenario["target_path"], "--c-grid", "1.0",
+              "--g-grid", "1.0", "--out", tmp_path / "defaults.json")
+    assert res.exit_code == 0, res.output
+    if "standardize" in config:
+        assert from_config != (tmp_path / "defaults.json").read_text()
+
+
+def test_config_value_rejected_like_flag(scenario, tmp_path):
+    res = adapt_with_config(tmp_path, {**scenario, "folds": "three"})
+    assert res.exit_code == 2
+    assert "--folds" in res.output
+
+
+def test_flag_beats_config(scenario, tmp_path):
+    config = {**scenario, "out_path": str(tmp_path / "cfg_out.json")}
+    res = adapt_with_config(tmp_path, config, "--out", tmp_path / "flag_out.json", *FAST)
+    assert res.exit_code == 0, res.output
+    assert (tmp_path / "flag_out.json").exists()
+    assert not (tmp_path / "cfg_out.json").exists()
+
+
+def test_config_does_not_leak_between_calls(scenario, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(scenario))
+    main.main(args=["adapt", "--config", str(cfg), "--out", str(tmp_path / "a.json"),
+                    *FAST], prog_name="cpmkm", standalone_mode=False)
+    assert (tmp_path / "a.json").exists()
+    with pytest.raises(click.MissingParameter, match="source_path"):
+        main.main(args=["adapt", "--out", str(tmp_path / "b.json"), *FAST],
+                  prog_name="cpmkm", standalone_mode=False)
+
+
+@pytest.mark.parametrize("text", ["x0,x1\n0.1,0.2\nnan,0.3\n",
+                                  "x0,x1\n0.1,0.2\n0.3\n"], ids=["nan", "short-row"])
+def test_adapt_bad_target_cell_positioned(pool_csv, tmp_path, text):
+    bad = tmp_path / "bad_target.csv"
+    bad.write_text(text)
+    res = run("adapt", "--source", pool_csv, "--target", bad, *FAST)
+    assert res.exit_code == 1
+    assert "bad_target.csv: " in res.output and "row 3" in res.output
+
+
+def test_usage_error_exits_2(tmp_path):
+    res = run("adapt", "--target", tmp_path / "t.csv")
+    assert res.exit_code == 2
+    assert "--source" in res.output
+
+
+def test_numerical_failure_exits_2(scenario, monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(cli, "adapt_pipeline", singular)
+    res = run("adapt", "--source", scenario["source_path"],
+              "--target", scenario["target_path"], *FAST)
+    assert res.exit_code == 2
+    assert "numerical failure: singular matrix" in res.output
 
 
 def test_benchmark_single_report(pool_csv, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cpmkm.data import Dataset, load_csv
+from cpmkm.data import Dataset, load_csv, load_feature_csv
 from cpmkm.klr import CvGrid
 from cpmkm.shiftlab import (EvalReport, ShiftSpec, aggregate, dirichlet_sample,
                             gaussian_mixture_pool, gaussian_mixture_posterior,
@@ -44,6 +44,21 @@ def test_load_csv_unparseable_cell_positioned(tmp_path):
     path = write(tmp_path, "a,b,label\n1.0,2.0,1\n1.0,oops,2\n")
     with pytest.raises(ValueError, match="row 3"):
         load_csv(path, "label")
+
+
+@pytest.mark.parametrize("load, text, where", [
+    (load_feature_csv, "a,b\n1.0,2.0\nnan,1.0\n", "non-finite value at row 3, column 1"),
+    (load_feature_csv, "a,b\n1.0,2.0\n\n3.0\n", "row 4 has 1 cells"),
+    (load_feature_csv, "a,b\n1.0,2.0\n3.0,x\n", "unparseable cell at row 3, column 2"),
+    (lambda path: load_csv(path, "label"), "a,b,label\n1.0,2.0,1\n1.0,inf,2\n",
+     "non-finite value at row 3, column 2"),
+    (lambda path: load_csv(path, "label"), "a,b,label\n1.0,2.0,1\n1.0,2\n",
+     "row 3 has 2 cells"),
+], ids=["feature-nan", "feature-short-row", "feature-bad-cell", "labeled-inf",
+        "labeled-short-row"])
+def test_csv_errors_positioned(tmp_path, load, text, where):
+    with pytest.raises(ValueError, match=where):
+        load(write(tmp_path, text))
 
 
 def test_load_csv_single_class_rejected(tmp_path):
