@@ -31,7 +31,7 @@ class ConfusionMatrix:
             raise ValueError("confusion entries must be a joint distribution")
 
 
-def confusion_estimate(model: KlrModel, holdout, soft: bool = False) -> ConfusionMatrix:
+def confusion_estimate(model: KlrModel, holdout) -> ConfusionMatrix:
     """Joint (prediction, truth) distribution of the predictor on held-out data."""
     labels = np.asarray(holdout.labels, dtype=int)
     m = model.num_classes
@@ -39,19 +39,9 @@ def confusion_estimate(model: KlrModel, holdout, soft: bool = False) -> Confusio
     if (counts == 0).any():
         missing = int(np.argmin(counts)) + 1
         raise ValueError(f"class {missing} missing from the holdout set")
-    probs = klr_predict(model, holdout.features)
-    n = len(labels)
-    c = np.zeros((m, m))
-    if soft:
-        for j in range(m):
-            mask = labels == j + 1
-            c[:, j] = probs[mask].sum(axis=0) / n
-    else:
-        pred = np.argmax(probs, axis=1) + 1
-        for j in range(m):
-            mask = labels == j + 1
-            c[:, j] = np.bincount(pred[mask] - 1, minlength=m) / n
-    return ConfusionMatrix(values=c)
+    pred = np.argmax(klr_predict(model, holdout.features), axis=1)
+    joint = np.bincount(pred * m + labels - 1, minlength=m * m)
+    return ConfusionMatrix(values=joint.reshape(m, m) / len(labels))
 
 
 def bbse_solve(confusion: ConfusionMatrix, target_pred_dist) -> np.ndarray:
@@ -107,7 +97,9 @@ def mlls_em(target_probs, source_priors, tol: float = 1e-8,
     simplex boundary, so it runs SQUAREM-accelerated (Varadhan & Roland
     2008): from two EM maps with r = q1 - q0 and v = q2 - q1 - r, the point
     q0 - 2 s r + s^2 v with s = -|r|/|v| replaces q2 when it is strictly
-    positive and no less likely, and one EM map follows.  The target
+    positive and no less likely; otherwise s backtracks, s <- (s - 1)/2,
+    toward s = -1, where the point is q2, so extrapolation also reaches a
+    maximum on the simplex boundary.  One EM map follows.  The target
     log-likelihood stays non-decreasing.  EM stops once a map moves q by at
     most tol in L1; max_iter counts EM maps, and stopping there issues a
     RuntimeWarning.
@@ -141,12 +133,14 @@ def mlls_em(target_probs, source_priors, tol: float = 1e-8,
         r = q1 - q0
         v = q - q1 - r
         vv = v @ v
-        if vv > 0:
-            s = -np.sqrt((r @ r) / vv)
+        s = -np.sqrt((r @ r) / vv) if vv > 0 else -1.0
+        ll = _mean_log_lik(ratio, q) if s < -1 else None
+        while s < -1:
             q_ext = q0 - 2.0 * s * r + s * s * v
-            if (np.all(q_ext > 0)
-                    and _mean_log_lik(ratio, q_ext) >= _mean_log_lik(ratio, q)):
+            if np.all(q_ext > 0) and _mean_log_lik(ratio, q_ext) >= ll:
                 q = q_ext
+                break
+            s = (s - 1.0) / 2.0  # backtrack toward s = -1, where q_ext = q
         q, done = em_step(q)  # the stabilising map
     if not done:
         warnings.warn(f"mlls_em did not converge in {steps} EM steps "

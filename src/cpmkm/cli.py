@@ -57,7 +57,9 @@ def _load_config(ctx, param, path):
     unknown = set(cfg) - {p.name for p in ctx.command.params if p.expose_value}
     if unknown:
         _fail(f"unknown config keys: {sorted(unknown)}")
-    ctx.default_map = cfg
+    # floats as text, like flag values: click's INT truncates 3.9 but rejects "3.9"
+    ctx.default_map = {k: repr(v) if isinstance(v, float) else v
+                       for k, v in cfg.items()}
 
 
 def _write_json(path, payload):
@@ -254,17 +256,21 @@ def cmd_evaluate(predictions, truth, q_hat, q_true):
 def cmd_plot_data(reports, metric, out_path):
     """Flatten benchmark reports into (method, n_q, mean, std) rows."""
     rows = []
-    for path in reports:
-        if not Path(path).exists():
-            _fail(f"file not found: {path}")
-        doc = json.loads(Path(path).read_text())
-        n_q = doc["spec"]["n_q"]
-        for name, agg in doc["aggregate"].items():
-            rows.append((name, n_q, agg[f"{metric}_mean"], agg[f"{metric}_std"]))
-    rows.sort()
-    lines = ["method,n_q,mean,std"]
-    lines += [f"{m},{n},{mean!r},{std!r}" for m, n, mean, std in rows]
-    Path(out_path).write_text("\n".join(lines) + "\n")
+    try:
+        for path in reports:
+            try:
+                doc = json.loads(Path(path).read_text())
+                n_q = doc["spec"]["n_q"]
+                rows += [(name, n_q, agg[f"{metric}_mean"], agg[f"{metric}_std"])
+                         for name, agg in doc["aggregate"].items()]
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise ValueError(f"{path}: not a benchmark report ({exc!r})")
+        rows.sort()
+        lines = ["method,n_q,mean,std"]
+        lines += [f"{m},{n},{mean!r},{std!r}" for m, n, mean, std in rows]
+        Path(out_path).write_text("\n".join(lines) + "\n")
+    except (OSError, ValueError) as exc:
+        _fail(str(exc))
     click.echo(f"wrote {out_path}")
 
 

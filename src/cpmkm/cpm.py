@@ -13,6 +13,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 FLOOR_S = 1e-12  # floor on each target point's denominator sum_m w_m p(m|x)
+MAX_ITER = 1000  # L-BFGS-B iteration cap of cpm_solve
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ def cpm_gradient(problem: MatchProblem, w) -> np.ndarray:
     return _loss_and_grad(problem, _check_w(w, problem.num_classes))[1]
 
 
-def cpm_solve(problem: MatchProblem, max_iter: int = 1000) -> np.ndarray:
+def cpm_solve(problem: MatchProblem) -> np.ndarray:
     """Minimize the matching objective over w >= 0 from w0 = 1 (L-BFGS-B)."""
     m = problem.num_classes
     w0 = np.ones(m)
@@ -102,7 +103,7 @@ def cpm_solve(problem: MatchProblem, max_iter: int = 1000) -> np.ndarray:
 
     res = minimize(fun, w0, jac=True, method="L-BFGS-B",
                    bounds=[(0.0, None)] * m,
-                   options={"maxiter": max_iter, "gtol": 1e-8, "ftol": 1e-12})
+                   options={"maxiter": MAX_ITER, "gtol": 1e-8, "ftol": 1e-12})
     w = np.maximum(res.x, 0.0)
     if cpm_objective(problem, w) > f0:
         return w0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,8 +70,8 @@ def shuffled_class_indices(labels: np.ndarray, rng: np.random.Generator):
         yield idx
 
 
-def _read_csv(path) -> tuple[list[str], np.ndarray]:
-    """Header and (n, width) finite float cells of a header CSV.
+def _read_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Header, (n, width) finite float cells and file row numbers of a header CSV.
 
     Blank rows are skipped; every other row must have one cell per header
     column.  Errors name the file row (the header is row 1) and the column.
@@ -81,7 +82,9 @@ def _read_csv(path) -> tuple[list[str], np.ndarray]:
         if header is None:
             raise ValueError(f"{path}: empty file")
         width = len(header)
-        rows, row_numbers = [], []
+        # packed C doubles and ints: a list per row would hold a float object
+        # per cell, several times the array's memory, until the end
+        cells_read, row_numbers = array("d"), array("q")
         for r, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -90,36 +93,41 @@ def _read_csv(path) -> tuple[list[str], np.ndarray]:
                                  f"the header has {width}")
             cells = iter(row)
             try:
-                rows.append([float(cell) for cell in cells])
+                cells_read.extend([float(cell) for cell in cells])
             except ValueError:
                 # the bad cell is the last one the comprehension consumed
                 column = width - sum(1 for _ in cells)
                 raise ValueError(f"{path}: unparseable cell at row {r}, "
                                  f"column {column}")
             row_numbers.append(r)
-    if not rows:
+    if not row_numbers:
         raise ValueError(f"{path}: no data rows")
-    values = np.array(rows, dtype=float)
+    values = np.frombuffer(cells_read, dtype=float).reshape(-1, width)
     bad = np.argwhere(~np.isfinite(values))
     if len(bad):
         i, c = bad[0]
         raise ValueError(f"{path}: non-finite value at row {row_numbers[i]}, "
                          f"column {c + 1}")
-    return header, values
+    return header, values, np.frombuffer(row_numbers, dtype=np.int64)
 
 
 def load_csv(path, label_column: str, standardize: bool = True) -> Dataset:
     """Read a header CSV into a Dataset.
 
-    Labels are truncated to integers and re-encoded to contiguous 1..M in
+    Labels must be integers; they are re-encoded to contiguous 1..M in
     sorted order of the original values; the mapping and (if standardizing)
     the column statistics are kept on the Dataset for reuse on target data.
     """
-    header, values = _read_csv(path)
+    header, values, row_numbers = _read_csv(path)
     if label_column not in header:
         raise ValueError(f"{path}: no column named {label_column!r}")
     label_idx = header.index(label_column)
-    distinct, labels = np.unique(np.trunc(values[:, label_idx]), return_inverse=True)
+    raw = values[:, label_idx]
+    fractional = np.flatnonzero(raw != np.trunc(raw))
+    if len(fractional):
+        raise ValueError(f"{path}: non-integer label at row "
+                         f"{row_numbers[fractional[0]]}, column {label_idx + 1}")
+    distinct, labels = np.unique(raw, return_inverse=True)
     if len(distinct) < 2:
         raise ValueError(f"{path}: only one class present")
     mapping = {int(orig): i + 1 for i, orig in enumerate(distinct)}

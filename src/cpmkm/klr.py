@@ -6,7 +6,7 @@ threshold t and renormalized so the cross-entropy loss never exceeds -log t.
 The fit runs on the pivoted Cholesky factor of the training Gram
 (K[p][:, p] = L L', rank r <= n), where the problem is well conditioned, and
 maps the factor coefficients back to one coefficient per support point; the
-fit's gtol bounds the gradient in the factor coefficients.
+fit's GTOL bounds the gradient in the factor coefficients.
 Hyperparameters (inverse regularization C and kernel coefficient g) are
 selected by stratified k-fold cross-validation on the truncated CE loss.
 """
@@ -27,6 +27,7 @@ from .data import Dataset, shuffled_class_indices
 from .kernel import GramMatrix, KernelParams, gram
 
 MODEL_FORMAT_VERSION = 1
+GTOL = 1e-6  # klr_fit's L-BFGS bound on the factor-coefficient gradient
 
 
 @dataclass(frozen=True)
@@ -198,13 +199,13 @@ def klr_gradient(alpha, gram_self: GramMatrix, labels, lam: float) -> np.ndarray
 
 
 def klr_fit(data, kernel: KernelParams, lam: float, trunc_t: float,
-            max_iter: int = 500, gtol: float = 1e-6) -> KlrModel:
+            max_iter: int = 500) -> KlrModel:
     """Fit KLR by L-BFGS on the pivoted Cholesky factor of the Gram.
 
     LAPACK's pivoted Cholesky gives K[p][:, p] = L L' with L of rank r <= n.
     With scores f = L beta and penalty lam * ||beta||^2 the objective equals
     the alpha-space one, but its Hessian is well conditioned, so L-BFGS from
-    beta = 0 converges in tens of iterations; gtol bounds the beta-gradient.
+    beta = 0 converges in tens of iterations; GTOL bounds the beta-gradient.
     The fit maps back by alpha[p[:r]] = L11^-T beta, alpha = 0 elsewhere, so
     K alpha = L beta.  Truncation only affects prediction; at t = 1e-8 it is
     essentially inactive on training data, so the smooth objective is
@@ -240,7 +241,7 @@ def klr_fit(data, kernel: KernelParams, lam: float, trunc_t: float,
         return lam * float(np.sum(beta * beta)) + ce, grad.ravel()
 
     res = minimize(fun, np.zeros(rank * (m - 1)), jac=True, method="L-BFGS-B",
-                   options={"maxiter": max_iter, "gtol": gtol, "ftol": 1e-15})
+                   options={"maxiter": max_iter, "gtol": GTOL, "ftol": 1e-15})
     if not res.success:
         warnings.warn(f"klr_fit did not converge (L-BFGS status {res.status}: "
                       f"{res.message})", RuntimeWarning, stacklevel=2)

@@ -16,9 +16,12 @@ from .adapt import reweight_posterior
 from .baselines import bbse_solve, confusion_estimate, mlls_em, rlls_solve
 from .cpm import MatchProblem, cpm_solve, empirical_class_probs
 from .data import Dataset, shuffled_class_indices
-from .klr import CvGrid, cv_select, klr_predict
+from .klr import CvGrid, cv_select, klr_predict, softmax_scores
 
 METHODS = ("cpmkm", "bbse", "rlls", "mlls")
+
+# class means of the synthetic mixture: an equilateral triangle of unit side
+MIXTURE_MEANS = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
 
 # Named RNG streams: one per logical purpose, so scenarios replay exactly.
 _STREAM_CLASS_CHOICE = 0
@@ -165,15 +168,15 @@ def _stratified_split(labels: np.ndarray, frac: float, rng: np.random.Generator)
     return ~held, held
 
 
-def estimate_weights(method: str, model, confusion, holdout_free_priors,
+def estimate_weights(method: str, confusion, holdout_free_priors,
                      target_probs) -> np.ndarray:
-    """Ratio estimate for one method from the shared model and splits."""
+    """Ratio estimate for one method from the shared model's outputs."""
     if method == "cpmkm":
         return cpm_solve(MatchProblem(p_hat=holdout_free_priors,
                                       target_probs=target_probs))
     if method in ("bbse", "rlls"):
         pred = np.argmax(target_probs, axis=1)
-        mu = np.bincount(pred, minlength=model.num_classes) / len(pred)
+        mu = np.bincount(pred, minlength=target_probs.shape[1]) / len(pred)
         solve = bbse_solve if method == "bbse" else rlls_solve
         return solve(confusion, mu)
     if method == "mlls":
@@ -215,7 +218,7 @@ def run_benchmark(pool: Dataset, spec: ShiftSpec, methods=METHODS,
             target_probs = klr_predict(model, target_x)
             test_probs = klr_predict(model, test.features)
             for name in methods:
-                w = estimate_weights(name, model, confusion, priors, target_probs)
+                w = estimate_weights(name, confusion, priors, target_probs)
                 if not np.any(w > 0):
                     w = np.ones_like(w)
                 q_hat = w * priors
@@ -248,27 +251,16 @@ def aggregate(reports) -> dict:
     return out
 
 
-def gaussian_mixture_pool(n: int, seed: int, num_classes: int = 3,
-                          scale: float = 0.35, priors=None) -> Dataset:
-    """Synthetic 2-d pool: class means on an equilateral triangle of unit side."""
-    means = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])[:num_classes]
+def gaussian_mixture_pool(n: int, seed: int, scale: float = 0.35) -> Dataset:
+    """Synthetic 2-d pool: three equally likely classes at MIXTURE_MEANS."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    if priors is None:
-        priors = np.full(num_classes, 1.0 / num_classes)
-    labels = rng.choice(num_classes, size=n, p=priors) + 1
-    features = means[labels - 1] + scale * rng.standard_normal((n, 2))
-    return Dataset(features=features, labels=labels, num_classes=num_classes)
+    labels = rng.choice(3, size=n, p=np.full(3, 1 / 3)) + 1
+    features = MIXTURE_MEANS[labels - 1] + scale * rng.standard_normal((n, 2))
+    return Dataset(features=features, labels=labels, num_classes=3)
 
 
-def gaussian_mixture_posterior(x, num_classes: int = 3, scale: float = 0.35,
-                               priors=None) -> np.ndarray:
+def gaussian_mixture_posterior(x, scale: float = 0.35) -> np.ndarray:
     """Exact p(y|x) for the gaussian_mixture_pool generative model."""
-    means = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])[:num_classes]
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if priors is None:
-        priors = np.full(num_classes, 1.0 / num_classes)
-    d2 = ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
-    logp = -d2 / (2 * scale ** 2) + np.log(np.asarray(priors))
-    logp -= logp.max(axis=1, keepdims=True)
-    p = np.exp(logp)
-    return p / p.sum(axis=1, keepdims=True)
+    d2 = ((x[:, None, :] - MIXTURE_MEANS[None, :, :]) ** 2).sum(axis=2)
+    return softmax_scores(-d2 / (2 * scale ** 2))

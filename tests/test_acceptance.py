@@ -7,18 +7,17 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from cpmkm.baselines import (_em_map, bbse_solve, confusion_estimate, mlls_em,
-                             mlls_log_likelihood)
+from cpmkm.baselines import bbse_solve, confusion_estimate, mlls_em
 from cpmkm.cli import main as cli_main
-from cpmkm.cpm import (MatchProblem, cpm_gradient, cpm_objective, cpm_solve,
-                       empirical_class_probs)
-from cpmkm.data import Dataset
-from cpmkm.kernel import KernelParams, gram
-from cpmkm.klr import (klr_fit, klr_gradient, klr_objective, klr_predict,
-                       truncate_simplex)
-from cpmkm.shiftlab import (ShiftSpec, _draw_by_class, _rng, _stratified_split,
-                            gaussian_mixture_pool, gaussian_mixture_posterior,
-                            sample_source, sample_target_test)
+from cpmkm.cpm import MatchProblem, cpm_solve, empirical_class_probs
+from cpmkm.kernel import KernelParams
+from cpmkm.klr import klr_fit, klr_predict
+from cpmkm.selftest import (check_cpm_gradient, check_klr_gradient,
+                            check_mlls_monotone, check_truncation)
+from cpmkm.shiftlab import (MIXTURE_MEANS, ShiftSpec, _draw_by_class, _rng,
+                            _stratified_split, gaussian_mixture_pool,
+                            gaussian_mixture_posterior, sample_source,
+                            sample_target_test)
 
 N_SEEDS = 20
 N_P = 2000
@@ -80,71 +79,18 @@ def norm_q(w, priors):
 
 
 def test_criterion_1_truncation_suite():
-    rng = np.random.default_rng(0)
     start = time.time()
-    ok = True
-    for _ in range(10_000):
-        m = int(rng.integers(2, 11))
-        p = rng.random(m) + 1e-9
-        p /= p.sum()
-        for t in (1e-8, 0.01, 1 / (2 * m) - 1e-6):
-            out = truncate_simplex(p, t)
-            ok &= abs(out.sum() - 1.0) <= 1e-10
-            ok &= out.min() >= t - 1e-15
-            order = np.argsort(p)
-            ok &= bool(np.all(np.diff(out[order]) >= -1e-18))
-            ok &= bool(np.array_equal(truncate_simplex(out, t), out))
-            if not ok:
-                break
-        if not ok:
-            break
-    hand = truncate_simplex(np.array([0.5, 0.4, 0.1]), 0.2)
-    ok &= bool(np.allclose(hand, [0.44, 0.36, 0.2], atol=1e-12))
+    ok = check_truncation(np.random.default_rng(0))
     elapsed = time.time() - start
     ok &= elapsed < 5.0
     report(1, "truncation-suite", ok, f"({elapsed:.2f}s)")
 
 
-def _fd(fun, point, step):
-    flat = point.ravel()
-    out = np.empty_like(flat)
-    for i in range(flat.size):
-        hi, lo = flat.copy(), flat.copy()
-        hi[i] += step
-        lo[i] -= step
-        out[i] = (fun(hi.reshape(point.shape)) - fun(lo.reshape(point.shape))) / (2 * step)
-    return out.reshape(point.shape)
-
-
 def test_criterion_2_gradient_suite():
     rng = np.random.default_rng(1)
     start = time.time()
-    ok = True
-    for _ in range(100):
-        n = int(rng.integers(4, 11))
-        m = int(rng.integers(2, 5))
-        d = int(rng.integers(1, 4))
-        x = rng.standard_normal((n, d))
-        k = gram(x, x, KernelParams(float(rng.random() + 0.1)))
-        labels = np.r_[np.arange(1, m + 1), rng.integers(1, m + 1, n - m)] \
-            if n >= m else rng.integers(1, m + 1, n)
-        alpha = 0.5 * rng.standard_normal((n, m - 1))
-        lam = float(rng.random() * 0.5 + 0.01)
-        analytic = klr_gradient(alpha, k, labels, lam)
-        fd = _fd(lambda a: klr_objective(a, k, labels, lam), alpha, 1e-5)
-        ok &= bool(np.abs(analytic - fd).max() / max(np.abs(fd).max(), 1e-8) < 1e-5)
-    for _ in range(100):
-        m = int(rng.integers(2, 6))
-        nq = int(rng.integers(2, 21))
-        probs = rng.random((nq, m)) + 1e-3
-        probs /= probs.sum(axis=1, keepdims=True)
-        p_hat = rng.random(m) + 1e-3
-        p_hat /= p_hat.sum()
-        problem = MatchProblem(p_hat=p_hat, target_probs=probs)
-        w = rng.random(m) + 0.2
-        analytic = cpm_gradient(problem, w)
-        fd = _fd(lambda v: cpm_objective(problem, v), w, 1e-6)
-        ok &= bool(np.abs(analytic - fd).max() / max(np.abs(fd).max(), 1e-8) < 1e-5)
+    ok = check_klr_gradient(rng)
+    ok &= check_cpm_gradient(rng)
     elapsed = time.time() - start
     ok &= elapsed < 30.0
     report(2, "gradient-suite", ok, f"({elapsed:.2f}s)")
@@ -226,8 +172,7 @@ def test_criterion_8_excess_risk_bound(fitted):
     rng = np.random.default_rng(42)
     n_mc = 4000
     labels = rng.integers(0, 3, n_mc)
-    means = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
-    x = means[labels] + SCALE * rng.standard_normal((n_mc, 2))
+    x = MIXTURE_MEANS[labels] + SCALE * rng.standard_normal((n_mc, 2))
     p_true = gaussian_mixture_posterior(x, scale=SCALE)
     p_hat = klr_predict(model, x)
     l2_terms = ((p_hat - p_true) ** 2).sum(axis=1)
@@ -263,20 +208,4 @@ def test_criterion_9_benchmark_determinism(tmp_path):
 
 
 def test_criterion_10_mlls_monotonicity():
-    rng = np.random.default_rng(3)
-    ok = True
-    for _ in range(50):
-        m = int(rng.integers(2, 6))
-        nq = int(rng.integers(5, 60))
-        probs = rng.random((nq, m)) + 1e-3
-        probs /= probs.sum(axis=1, keepdims=True)
-        priors = rng.random(m) + 1e-3
-        priors /= priors.sum()
-        q = priors.copy()
-        ll_prev = mlls_log_likelihood(probs, priors, q)
-        for _ in range(60):
-            q = _em_map(probs / priors, q)
-            ll = mlls_log_likelihood(probs, priors, q)
-            ok &= ll >= ll_prev - 1e-12
-            ll_prev = ll
-    report(10, "mlls-monotonicity", ok)
+    report(10, "mlls-monotonicity", check_mlls_monotone(np.random.default_rng(3)))

@@ -3,12 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
-from cpmkm.baselines import (ConfusionMatrix, _em_map, bbse_solve, confusion_estimate,
+from cpmkm.baselines import (ConfusionMatrix, bbse_solve, confusion_estimate,
                              mlls_em, mlls_log_likelihood, rlls_solve)
 from cpmkm.data import Dataset
 from cpmkm.kernel import KernelParams
 from cpmkm.klr import klr_fit
-from cpmkm.shiftlab import gaussian_mixture_posterior
+from cpmkm.shiftlab import MIXTURE_MEANS, gaussian_mixture_posterior
 
 
 def separable_model_and_holdout(seed=0, n=40):
@@ -33,21 +33,21 @@ def test_confusion_perfect_predictor():
 
 def test_confusion_column_sums_match_frequencies():
     model, holdout = separable_model_and_holdout(seed=1)
-    for soft in (False, True):
-        c = confusion_estimate(model, holdout, soft=soft)
-        assert np.allclose(c.values.sum(axis=0), [0.5, 0.5], atol=1e-10)
-        assert c.values.sum() == pytest.approx(1.0, abs=1e-10)
+    c = confusion_estimate(model, holdout)
+    assert np.allclose(c.values.sum(axis=0), [0.5, 0.5], atol=1e-10)
+    assert c.values.sum() == pytest.approx(1.0, abs=1e-10)
 
 
-def test_confusion_uninformative_soft():
-    # flat model: uniform posteriors -> soft entries all 1/4 on balanced data
+def test_confusion_uninformative_hard():
+    # flat model: uniform posteriors, whose argmax is class 1 for every point,
+    # so row 1 (the prediction) holds both true classes of the balanced holdout
     model = klr_fit(Dataset(features=np.zeros((8, 1)),
                             labels=np.array([1, 2] * 4), num_classes=2),
                     KernelParams(1.0), 1e6, 1e-8)
     holdout = Dataset(features=np.zeros((8, 1)), labels=np.array([1, 2] * 4),
                       num_classes=2)
-    c = confusion_estimate(model, holdout, soft=True)
-    assert np.allclose(c.values, 0.25, atol=1e-3)
+    c = confusion_estimate(model, holdout)
+    assert np.array_equal(c.values, [[0.5, 0.5], [0.0, 0.0]])
 
 
 def test_confusion_missing_class_rejected():
@@ -155,25 +155,6 @@ def test_mlls_rejects_nonpositive_inputs():
         mlls_em(np.array([[0.5, 0.5]]), np.array([1.0, 0.0]))
 
 
-def test_mlls_likelihood_monotone():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        m = int(rng.integers(2, 5))
-        nq = int(rng.integers(5, 40))
-        probs = rng.random((nq, m)) + 1e-3
-        probs /= probs.sum(axis=1, keepdims=True)
-        priors = rng.random(m) + 1e-3
-        priors /= priors.sum()
-        q = priors.copy()
-        ll_prev = mlls_log_likelihood(probs, priors, q)
-        for _ in range(40):
-            q = _em_map(probs / priors, q)
-            assert q.sum() == pytest.approx(1.0, abs=1e-12)
-            ll = mlls_log_likelihood(probs, priors, q)
-            assert ll >= ll_prev - 1e-12
-            ll_prev = ll
-
-
 def plain_em(probs, priors, steps, q=None):
     """`steps` maps of plain prior-shift EM from q (default: the priors).
 
@@ -216,9 +197,8 @@ def boundary_case():
     scaled so the derivative of the log-likelihood in q3 vanishes at the
     2-class optimum, where plain EM creeps toward q3 = 0.
     """
-    means = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
     rng = np.random.default_rng(0)
-    x = means[rng.choice(2, size=200, p=[0.6, 0.4])] + rng.standard_normal((200, 2))
+    x = MIXTURE_MEANS[rng.choice(2, size=200, p=[0.6, 0.4])] + rng.standard_normal((200, 2))
     probs = gaussian_mixture_posterior(x, scale=1.0)
     priors = np.full(3, 1 / 3)
     ratio = probs / priors
@@ -238,6 +218,17 @@ def test_mlls_boundary_maximum_converges():
         q = mlls_em(probs, priors) * priors
     assert q[2] <= 1e-3
     assert np.abs(q[:2] - q12).max() <= 1e-3
+
+
+def test_mlls_boundary_maximum_one_dimensional():
+    # identical rows favour class 1, so the likelihood peaks at q = (1, 0);
+    # SQUAREM's extrapolation overshoots q2 = 0 and must backtrack, where
+    # plain EM creeps toward the boundary for some 12 000 maps
+    rows = np.tile(np.array([0.5, 0.4995]) / 0.9995, (10, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        w = mlls_em(rows, np.array([0.5, 0.5]), max_iter=100)
+    assert w == pytest.approx([2.0, 0.0], abs=1e-4)
 
 
 def test_all_estimators_return_ones_without_shift():

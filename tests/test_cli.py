@@ -108,9 +108,11 @@ def test_config_values_typed_like_flags(scenario, tmp_path, config, flags):
 
 
 def test_config_value_rejected_like_flag(scenario, tmp_path):
-    res = adapt_with_config(tmp_path, {**scenario, "folds": "three"})
-    assert res.exit_code == 2
-    assert "--folds" in res.output
+    # a JSON float is no more an integer than `--folds 3.9` is
+    for folds in ("three", 3.9):
+        res = adapt_with_config(tmp_path, {**scenario, "folds": folds})
+        assert res.exit_code == 2
+        assert "--folds" in res.output
 
 
 def test_flag_beats_config(scenario, tmp_path):
@@ -216,6 +218,17 @@ def test_plot_data(pool_csv, tmp_path):
     lines = csv_out.read_text().strip().splitlines()
     assert lines[0] == "method,n_q,mean,std"
     assert lines[1].startswith("cpmkm,80,")
+
+
+@pytest.mark.parametrize("text", ["not json\n", '{"spec": {"n_q": 80}}\n'],
+                         ids=["not-json", "no-aggregate"])
+def test_plot_data_bad_report(tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    res = run("plot-data", "--reports", bad, "--out", tmp_path / "plot.csv")
+    assert res.exit_code == 1
+    assert "error: " in res.output and "bad.json" in res.output
+    assert not (tmp_path / "plot.csv").exists()
 
 
 def test_selftest_passes():

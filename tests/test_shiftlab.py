@@ -3,10 +3,10 @@ import pytest
 
 from cpmkm.data import Dataset, load_csv, load_feature_csv
 from cpmkm.klr import CvGrid
-from cpmkm.shiftlab import (EvalReport, ShiftSpec, aggregate, dirichlet_sample,
-                            gaussian_mixture_pool, gaussian_mixture_posterior,
-                            metric_acc, metric_mse, run_benchmark,
-                            sample_shift_scenario, sample_source,
+from cpmkm.shiftlab import (MIXTURE_MEANS, EvalReport, ShiftSpec, aggregate,
+                            dirichlet_sample, gaussian_mixture_pool,
+                            gaussian_mixture_posterior, metric_acc, metric_mse,
+                            run_benchmark, sample_shift_scenario, sample_source,
                             sample_target_test)
 
 
@@ -54,8 +54,10 @@ def test_load_csv_unparseable_cell_positioned(tmp_path):
      "non-finite value at row 3, column 2"),
     (lambda path: load_csv(path, "label"), "a,b,label\n1.0,2.0,1\n1.0,2\n",
      "row 3 has 2 cells"),
+    (lambda path: load_csv(path, "label"), "a,label,b\n1.0,1,2.0\n\n1.0,1.7,2.0\n",
+     "non-integer label at row 4, column 2"),
 ], ids=["feature-nan", "feature-short-row", "feature-bad-cell", "labeled-inf",
-        "labeled-short-row"])
+        "labeled-short-row", "labeled-fractional-label"])
 def test_csv_errors_positioned(tmp_path, load, text, where):
     with pytest.raises(ValueError, match=where):
         load(write(tmp_path, text))
@@ -227,6 +229,5 @@ def test_mixture_posterior_rows_on_simplex():
 
 def test_mixture_posterior_at_means():
     # at a class mean the posterior should favor that class
-    means = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
-    p = gaussian_mixture_posterior(means)
+    p = gaussian_mixture_posterior(MIXTURE_MEANS)
     assert np.array_equal(np.argmax(p, axis=1), np.arange(3))
