@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .klr import KlrModel, klr_predict
+from .klr import KlrModel, check_simplex, klr_predict
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,7 @@ class ConfusionMatrix:
         object.__setattr__(self, "values", v)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("confusion matrix must be square")
-        if np.any(v < 0) or abs(v.sum() - 1.0) > 1e-10:
-            raise ValueError("confusion entries must be a joint distribution")
+        check_simplex(v.ravel(), 1e-10, 0.0, "confusion matrix")
 
 
 def confusion_estimate(model: KlrModel, holdout) -> ConfusionMatrix:

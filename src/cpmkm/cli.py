@@ -11,13 +11,16 @@ from __future__ import annotations
 import json
 import sys
 import time
+from contextlib import contextmanager
+from dataclasses import asdict, replace
+from functools import reduce
 from pathlib import Path
 
 import click
 import numpy as np
 
 from .adapt import adapt_pipeline, predict_target, target_class_probs
-from .data import apply_standardization, load_csv, load_feature_csv
+from .data import load_csv, load_feature_csv, load_label_csv, standardize_columns
 from .klr import CvGrid
 from .shiftlab import (ShiftSpec, aggregate, metric_acc, metric_mse,
                        run_benchmark, sample_shift_scenario)
@@ -25,18 +28,26 @@ from .shiftlab import (ShiftSpec, aggregate, metric_acc, metric_mse,
 SCHEMA_VERSION = 1
 
 
-def _fail(message: str, code: int = 1):
+def _fail(message: str, code: int):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
 
 
+@contextmanager
+def _exit_codes():
+    """Exit 2 on a numerical failure and 1 on unreadable or rejected input."""
+    try:
+        yield
+    except np.linalg.LinAlgError as exc:  # a ValueError subclass: caught first
+        _fail(f"numerical failure: {exc}", 2)
+    except (OSError, ValueError) as exc:
+        _fail(str(exc), 1)
+
+
 def _parse_grid(c_grid, g_grid, folds, trunc_t) -> CvGrid:
-    kwargs = {"folds": folds, "trunc_t": trunc_t}
-    if c_grid:
-        kwargs["c_values"] = tuple(float(v) for v in c_grid.split(","))
-    if g_grid:
-        kwargs["g_values"] = tuple(float(v) for v in g_grid.split(","))
-    return CvGrid(**kwargs)
+    values = {key: tuple(float(v) for v in text.split(","))
+              for key, text in (("c_values", c_grid), ("g_values", g_grid)) if text}
+    return CvGrid(folds=folds, trunc_t=trunc_t, **values)
 
 
 def _load_config(ctx, param, path):
@@ -51,32 +62,52 @@ def _load_config(ctx, param, path):
         with open(path) as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        _fail(f"cannot read config {path}: {exc}")
+        _fail(f"cannot read config {path}: {exc}", 1)
     if not isinstance(cfg, dict):
-        _fail(f"config {path} must be a JSON object")
+        _fail(f"config {path} must be a JSON object", 1)
     unknown = set(cfg) - {p.name for p in ctx.command.params if p.expose_value}
     if unknown:
-        _fail(f"unknown config keys: {sorted(unknown)}")
+        _fail(f"unknown config keys: {sorted(unknown)}", 1)
     # floats as text, like flag values: click's INT truncates 3.9 but rejects "3.9"
     ctx.default_map = {k: repr(v) if isinstance(v, float) else v
                        for k, v in cfg.items()}
+
+
+def _load_labeled(path, label_column, standardize):
+    """load_csv, standardized if asked, and the map that rescales other points alike."""
+    data = load_csv(path, label_column)
+    if not standardize:
+        return data, lambda x: x
+    features, mean, std = standardize_columns(data.features)
+    return replace(data, features=features), lambda x: (x - mean) / std
+
+
+def _shift_spec(pool, alpha, mq, n_p, n_q, n_t, seed) -> ShiftSpec:
+    """The scenario options as a ShiftSpec; without --mq every class is supported."""
+    return ShiftSpec(alpha, pool.num_classes if mq is None else mq, n_p, n_q, n_t, seed)
+
+
+def _read_json(path, what: str, read):
+    """read(doc) of the JSON document at path; any failure is a ValueError naming path."""
+    try:
+        return read(json.loads(Path(path).read_text()))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: not {what} ({exc!r})")
 
 
 def _write_json(path, payload):
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _write_csv(path, features, labels=None):
-    """Header CSV of columns x0..x{d-1}, plus an integer `label` column if given."""
+def _write_csv(path, features, labels):
+    """Header CSV of columns x0..x{d-1} and, unless labels is None, an integer `label`."""
     header = [f"x{i}" for i in range(features.shape[1])]
+    rows = [[repr(float(v)) for v in row] for row in features]
     if labels is not None:
         header.append("label")
-    lines = [",".join(header)]
-    for i, row in enumerate(features):
-        cells = [repr(float(v)) for v in row]
-        if labels is not None:
-            cells.append(str(int(labels[i])))
-        lines.append(",".join(cells))
+        for row, label in zip(rows, labels):
+            row.append(str(int(label)))
+    lines = [",".join(row) for row in [header, *rows]]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -85,22 +116,33 @@ def main():
     """Label shift adaptation via class probability matching."""
 
 
+def _options(options):
+    """One decorator applying a shared list of click options in order."""
+    return lambda fn: reduce(lambda f, option: option(f), reversed(options), fn)
+
+
 config_option = click.option(
     "--config", type=click.Path(), is_eager=True, expose_value=False,
     callback=_load_config, help="JSON object keyed by parameter name; flags override it.")
 
-_grid_options = [
+grid_options = _options([
     click.option("--c-grid", default=None, help="Comma-separated C values."),
     click.option("--g-grid", default=None, help="Comma-separated kernel coefficients."),
     click.option("--folds", default=5, show_default=True),
     click.option("--trunc-t", default=1e-8, show_default=True),
-]
+])
 
-
-def grid_options(fn):
-    for opt in reversed(_grid_options):
-        fn = opt(fn)
-    return fn
+scenario_options = _options([
+    click.option("--pool", "pool_path", required=True, type=click.Path()),
+    click.option("--label-column", default="label", show_default=True),
+    click.option("--alpha", default=1.0, show_default=True, help="Dirichlet concentration."),
+    click.option("--mq", default=None, type=int,
+                 help="Supported target classes, at least 1 (default M)."),
+    click.option("--np", "n_p", default=500, show_default=True),
+    click.option("--nq", "n_q", default=500, show_default=True),
+    click.option("--nt", "n_t", default=500, show_default=True),
+    click.option("--seed", default=0, show_default=True),
+])
 
 
 @main.command("adapt")
@@ -112,81 +154,61 @@ def grid_options(fn):
 @click.option("--out", "out_path", default="adapted.json", show_default=True)
 @config_option
 @grid_options
+@_exit_codes()
 def cmd_adapt(source_path, target_path, label_column, standardize, seed, out_path,
               c_grid, g_grid, folds, trunc_t):
     """Fit the full pipeline and write the adapted model plus predictions."""
-    try:
-        source = load_csv(source_path, label_column, standardize)
-        target_x = load_feature_csv(target_path)
-        if target_x.shape[1] != source.dim:
-            raise ValueError(f"target has {target_x.shape[1]} features, "
-                             f"source has {source.dim}")
-        if standardize:
-            target_x = apply_standardization(target_x, source.feature_mean,
-                                             source.feature_std)
-        grid = _parse_grid(c_grid, g_grid, folds, trunc_t)
-        model = adapt_pipeline(source, target_x, grid, seed)
-        _, labels = predict_target(model, target_x)
-        q_y = target_class_probs(model)
-        _write_json(out_path, {
-            "schema_version": SCHEMA_VERSION,
-            "adapted_model": json.loads(model.to_json()),
-            "w_hat": list(model.weights),
-            "q_hat": list(q_y),
-            "cv_table": [list(row) for row in model.cv_table],
-            "target_labels": [int(v) for v in labels],
-        })
-    except np.linalg.LinAlgError as exc:  # a ValueError subclass: caught first
-        _fail(f"numerical failure: {exc}", code=2)
-    except (OSError, ValueError) as exc:
-        _fail(str(exc))
+    source, rescale = _load_labeled(source_path, label_column, standardize)
+    target_x = load_feature_csv(target_path)
+    if target_x.shape[1] != source.dim:
+        raise ValueError(f"target has {target_x.shape[1]} features, "
+                         f"source has {source.dim}")
+    target_x = rescale(target_x)
+    grid = _parse_grid(c_grid, g_grid, folds, trunc_t)
+    model = adapt_pipeline(source, target_x, grid, seed)
+    _, labels = predict_target(model, target_x)
+    q_y = target_class_probs(model)
+    _write_json(out_path, {
+        "schema_version": SCHEMA_VERSION,
+        "adapted_model": json.loads(model.to_json()),
+        "w_hat": list(model.weights),
+        "q_hat": list(q_y),
+        "cv_table": [list(row) for row in model.cv_table],
+        "target_labels": [int(v) for v in source.classes[labels - 1]],
+    })
     click.echo(f"w_hat: {np.round(model.weights, 4).tolist()}")
     click.echo(f"q_hat: {np.round(q_y, 4).tolist()}")
     click.echo(f"wrote {out_path}")
 
 
 @main.command("benchmark")
-@click.option("--pool", "pool_path", required=True, type=click.Path())
-@click.option("--label-column", default="label", show_default=True)
+@scenario_options
 @click.option("--standardize/--no-standardize", default=True, show_default=True)
-@click.option("--alpha", default=1.0, show_default=True, help="Dirichlet concentration.")
-@click.option("--mq", default=None, type=int, help="Supported target classes (default M).")
-@click.option("--np", "n_p", default=500, show_default=True)
-@click.option("--nq", "n_q", default=500, show_default=True)
-@click.option("--nt", "n_t", default=500, show_default=True)
 @click.option("--methods", default="cpmkm,bbse,rlls,mlls", show_default=True)
 @click.option("--source-reps", default=10, show_default=True)
 @click.option("--target-reps", default=10, show_default=True)
-@click.option("--seed", default=0, show_default=True)
 @click.option("--out", "out_path", default="benchmark.json", show_default=True)
 @config_option
 @grid_options
-def cmd_benchmark(pool_path, label_column, standardize, alpha, mq, n_p, n_q, n_t,
-                  methods, source_reps, target_reps, seed, out_path,
+@_exit_codes()
+def cmd_benchmark(pool_path, label_column, alpha, mq, n_p, n_q, n_t, seed, standardize,
+                  methods, source_reps, target_reps, out_path,
                   c_grid, g_grid, folds, trunc_t):
     """Run the repeated-trial shift benchmark and write the JSON report."""
     method_list = tuple(m.strip() for m in methods.split(",") if m.strip())
-    try:
-        pool = load_csv(pool_path, label_column, standardize)
-        spec = ShiftSpec(alpha=alpha, m_q=mq or pool.num_classes,
-                         n_p=n_p, n_q=n_q, n_t=n_t, seed=seed)
-        grid = _parse_grid(c_grid, g_grid, folds, trunc_t)
-        reports = run_benchmark(pool, spec, method_list, source_reps, target_reps, grid)
-        table = aggregate(reports)
-        _write_json(out_path, {
-            "schema_version": SCHEMA_VERSION,
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "spec": {"alpha": spec.alpha, "m_q": spec.m_q, "n_p": spec.n_p,
-                     "n_q": spec.n_q, "n_t": spec.n_t, "seed": spec.seed,
-                     "source_reps": source_reps, "target_reps": target_reps,
-                     "methods": list(method_list)},
-            "reports": [r.to_dict() for r in reports],
-            "aggregate": table,
-        })
-    except np.linalg.LinAlgError as exc:  # a ValueError subclass: caught first
-        _fail(f"numerical failure: {exc}", code=2)
-    except (OSError, ValueError) as exc:
-        _fail(str(exc))
+    pool, _ = _load_labeled(pool_path, label_column, standardize)
+    spec = _shift_spec(pool, alpha, mq, n_p, n_q, n_t, seed)
+    grid = _parse_grid(c_grid, g_grid, folds, trunc_t)
+    reports = run_benchmark(pool, spec, method_list, source_reps, target_reps, grid)
+    table = aggregate(reports)
+    _write_json(out_path, {
+        "schema_version": SCHEMA_VERSION,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "spec": {**asdict(spec), "source_reps": source_reps,
+                 "target_reps": target_reps, "methods": list(method_list)},
+        "reports": [r.to_dict() for r in reports],
+        "aggregate": table,
+    })
     for name, row in table.items():
         click.echo(f"{name}: ACC {row['acc_mean']:.4f} ({row['acc_std']:.4f})  "
                    f"MSE {row['mse_mean']:.6f} ({row['mse_std']:.6f})")
@@ -194,57 +216,44 @@ def cmd_benchmark(pool_path, label_column, standardize, alpha, mq, n_p, n_q, n_t
 
 
 @main.command("simulate")
-@click.option("--pool", "pool_path", required=True, type=click.Path())
-@click.option("--label-column", default="label", show_default=True)
-@click.option("--alpha", default=1.0, show_default=True)
-@click.option("--mq", default=None, type=int)
-@click.option("--np", "n_p", default=500, show_default=True)
-@click.option("--nq", "n_q", default=500, show_default=True)
-@click.option("--nt", "n_t", default=500, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@scenario_options
 @click.option("--out-dir", default="scenario", show_default=True)
+@_exit_codes()
 def cmd_simulate(pool_path, label_column, alpha, mq, n_p, n_q, n_t, seed, out_dir):
     """Generate one shift scenario (source/target/test CSVs plus q_true)."""
+    pool = load_csv(pool_path, label_column)
+    spec = _shift_spec(pool, alpha, mq, n_p, n_q, n_t, seed)
+    source, target_x, test, q_true = sample_shift_scenario(pool, spec)
     out = Path(out_dir)
-    try:
-        pool = load_csv(pool_path, label_column, standardize=False)
-        spec = ShiftSpec(alpha=alpha, m_q=mq or pool.num_classes,
-                         n_p=n_p, n_q=n_q, n_t=n_t, seed=seed)
-        source, target_x, test, q_true = sample_shift_scenario(pool, spec)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "source.csv", source.features, source.labels)
-        _write_csv(out / "target.csv", target_x)
-        _write_csv(out / "test.csv", test.features, test.labels)
-        _write_json(out / "q_true.json", {"schema_version": SCHEMA_VERSION,
-                                          "q_true": q_true.tolist()})
-    except (OSError, ValueError) as exc:
-        _fail(str(exc))
+    out.mkdir(parents=True, exist_ok=True)
+    _write_csv(out / "source.csv", source.features, pool.classes[source.labels - 1])
+    _write_csv(out / "target.csv", target_x, None)
+    _write_csv(out / "test.csv", test.features, pool.classes[test.labels - 1])
+    _write_json(out / "q_true.json", {"schema_version": SCHEMA_VERSION,
+                                      "q_true": q_true.tolist()})
     click.echo(f"wrote scenario to {out}/")
 
 
 @main.command("evaluate")
 @click.option("--predictions", required=True, type=click.Path(),
-              help="CSV with a single column of predicted labels.")
+              help="CSV with a single column of predicted integer labels.")
 @click.option("--truth", required=True, type=click.Path(),
-              help="CSV with a single column of true labels.")
+              help="CSV with a single column of true integer labels.")
 @click.option("--q-hat", default=None, type=click.Path(),
               help="JSON with a q_hat array (optional, for MSE).")
 @click.option("--q-true", default=None, type=click.Path(),
               help="JSON with a q_true array (required with --q-hat).")
+@_exit_codes()
 def cmd_evaluate(predictions, truth, q_hat, q_true):
     """Compute ACC (and MSE, if class probability files are given)."""
-    try:
-        pred = load_feature_csv(predictions).ravel().astype(int)
-        true = load_feature_csv(truth).ravel().astype(int)
-        click.echo(f"ACC: {metric_acc(pred, true):.6f}")
-        if q_hat:
-            if not q_true:
-                _fail("--q-hat requires --q-true")
-            qh = np.array(json.loads(Path(q_hat).read_text()).get("q_hat"))
-            qt = np.array(json.loads(Path(q_true).read_text()).get("q_true"))
-            click.echo(f"MSE: {metric_mse(qh, qt):.8f}")
-    except (OSError, ValueError) as exc:
-        _fail(str(exc))
+    acc = metric_acc(load_label_csv(predictions), load_label_csv(truth))
+    click.echo(f"ACC: {acc:.6f}")
+    if q_hat:
+        if not q_true:
+            raise ValueError("--q-hat requires --q-true")
+        qh = _read_json(q_hat, "a q_hat report", lambda d: np.asarray(d["q_hat"], float))
+        qt = _read_json(q_true, "a q_true report", lambda d: np.asarray(d["q_true"], float))
+        click.echo(f"MSE: {metric_mse(qh, qt):.8f}")
 
 
 @main.command("plot-data")
@@ -253,24 +262,19 @@ def cmd_evaluate(predictions, truth, q_hat, q_true):
 @click.option("--metric", default="mse", type=click.Choice(["mse", "acc"]),
               show_default=True)
 @click.option("--out", "out_path", default="plot_data.csv", show_default=True)
+@_exit_codes()
 def cmd_plot_data(reports, metric, out_path):
     """Flatten benchmark reports into (method, n_q, mean, std) rows."""
-    rows = []
-    try:
-        for path in reports:
-            try:
-                doc = json.loads(Path(path).read_text())
-                n_q = doc["spec"]["n_q"]
-                rows += [(name, n_q, agg[f"{metric}_mean"], agg[f"{metric}_std"])
-                         for name, agg in doc["aggregate"].items()]
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                raise ValueError(f"{path}: not a benchmark report ({exc!r})")
-        rows.sort()
-        lines = ["method,n_q,mean,std"]
-        lines += [f"{m},{n},{mean!r},{std!r}" for m, n, mean, std in rows]
-        Path(out_path).write_text("\n".join(lines) + "\n")
-    except (OSError, ValueError) as exc:
-        _fail(str(exc))
+    def rows_of(doc):
+        n_q = doc["spec"]["n_q"]
+        return [(name, n_q, agg[f"{metric}_mean"], agg[f"{metric}_std"])
+                for name, agg in doc["aggregate"].items()]
+
+    rows = sorted(row for path in reports
+                  for row in _read_json(path, "a benchmark report", rows_of))
+    lines = ["method,n_q,mean,std"]
+    lines += [f"{m},{n},{mean!r},{std!r}" for m, n, mean, std in rows]
+    Path(out_path).write_text("\n".join(lines) + "\n")
     click.echo(f"wrote {out_path}")
 
 

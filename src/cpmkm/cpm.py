@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
+from .klr import check_simplex
+
 FLOOR_S = 1e-12  # floor on each target point's denominator sum_m w_m p(m|x)
 MAX_ITER = 1000  # L-BFGS-B iteration cap of cpm_solve
 
@@ -26,12 +28,10 @@ class MatchProblem:
         tp = np.atleast_2d(np.asarray(self.target_probs, dtype=float))
         object.__setattr__(self, "p_hat", p)
         object.__setattr__(self, "target_probs", tp)
-        if abs(p.sum() - 1.0) > 1e-10:
-            raise ValueError("p_hat must sum to 1")
+        check_simplex(p, 1e-10, 0.0, "p_hat")
         if tp.shape[1] != p.shape[0]:
             raise ValueError("target_probs column count must match len(p_hat)")
-        if np.any(np.abs(tp.sum(axis=1) - 1.0) > 1e-8) or np.any(tp < 0):
-            raise ValueError("target_probs rows must lie on the simplex")
+        check_simplex(tp, 1e-8, 0.0, "a target_probs row")
 
     @property
     def num_classes(self):
@@ -91,20 +91,10 @@ def cpm_solve(problem: MatchProblem) -> np.ndarray:
     m = problem.num_classes
     w0 = np.ones(m)
     f0 = cpm_objective(problem, w0)
-    if not np.isfinite(f0):
-        raise ValueError("objective non-finite at the all-ones start")
-
-    def fun(w):
-        wc = np.maximum(w, 0.0)
-        # all-zero w lies outside the domain _check_w enforces
-        if not np.any(wc > 0):
-            wc = np.full(m, FLOOR_S)
-        return _loss_and_grad(problem, wc)
-
-    res = minimize(fun, w0, jac=True, method="L-BFGS-B",
-                   bounds=[(0.0, None)] * m,
+    # L-BFGS-B evaluates only within the bounds, where _loss_and_grad is defined
+    res = minimize(lambda w: _loss_and_grad(problem, w), w0, jac=True,
+                   method="L-BFGS-B", bounds=[(0.0, None)] * m,
                    options={"maxiter": MAX_ITER, "gtol": 1e-8, "ftol": 1e-12})
-    w = np.maximum(res.x, 0.0)
-    if cpm_objective(problem, w) > f0:
+    if cpm_objective(problem, res.x) > f0:
         return w0
-    return w
+    return res.x

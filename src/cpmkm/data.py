@@ -18,10 +18,8 @@ class Dataset:
     features: np.ndarray     # (n, d)
     labels: np.ndarray       # (n,) ints in 1..M
     num_classes: int
-    # ingestion metadata, populated by load_csv
-    label_mapping: dict | None = field(default=None, repr=False)
-    feature_mean: np.ndarray | None = field(default=None, repr=False)
-    feature_std: np.ndarray | None = field(default=None, repr=False)
+    # label m stands for the value classes[m - 1] of the file load_csv read
+    classes: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.features = np.atleast_2d(np.asarray(self.features, dtype=float))
@@ -44,7 +42,7 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         return Dataset(features=self.features[indices], labels=self.labels[indices],
-                       num_classes=self.num_classes)
+                       num_classes=self.num_classes, classes=self.classes)
 
 
 def standardize_columns(features: np.ndarray):
@@ -56,10 +54,6 @@ def standardize_columns(features: np.ndarray):
     out = (features - mean) / std
     out[:, constant] = 0.0
     return out, mean, std
-
-
-def apply_standardization(features: np.ndarray, mean: np.ndarray, std: np.ndarray):
-    return (features - mean) / std
 
 
 def shuffled_class_indices(labels: np.ndarray, rng: np.random.Generator):
@@ -111,32 +105,40 @@ def _read_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     return header, values, np.frombuffer(row_numbers, dtype=np.int64)
 
 
-def load_csv(path, label_column: str, standardize: bool = True) -> Dataset:
+def _integer_labels(path, values, row_numbers, column) -> np.ndarray:
+    """The label column of _read_csv's values; a fractional label is an error."""
+    labels = values[:, column]
+    fractional = np.flatnonzero(labels != np.trunc(labels))
+    if len(fractional):
+        raise ValueError(f"{path}: non-integer label at row "
+                         f"{row_numbers[fractional[0]]}, column {column + 1}")
+    return labels
+
+
+def load_csv(path, label_column: str) -> Dataset:
     """Read a header CSV into a Dataset.
 
     Labels must be integers; they are re-encoded to contiguous 1..M in
-    sorted order of the original values; the mapping and (if standardizing)
-    the column statistics are kept on the Dataset for reuse on target data.
+    sorted order of the file's values, which the Dataset keeps as `classes`.
     """
     header, values, row_numbers = _read_csv(path)
     if label_column not in header:
         raise ValueError(f"{path}: no column named {label_column!r}")
-    label_idx = header.index(label_column)
-    raw = values[:, label_idx]
-    fractional = np.flatnonzero(raw != np.trunc(raw))
-    if len(fractional):
-        raise ValueError(f"{path}: non-integer label at row "
-                         f"{row_numbers[fractional[0]]}, column {label_idx + 1}")
-    distinct, labels = np.unique(raw, return_inverse=True)
-    if len(distinct) < 2:
+    column = header.index(label_column)
+    classes, labels = np.unique(_integer_labels(path, values, row_numbers, column),
+                                return_inverse=True)
+    if len(classes) < 2:
         raise ValueError(f"{path}: only one class present")
-    mapping = {int(orig): i + 1 for i, orig in enumerate(distinct)}
-    features = np.delete(values, label_idx, axis=1)
-    mean = std = None
-    if standardize:
-        features, mean, std = standardize_columns(features)
-    return Dataset(features=features, labels=labels + 1, num_classes=len(distinct),
-                   label_mapping=mapping, feature_mean=mean, feature_std=std)
+    return Dataset(features=np.delete(values, column, axis=1), labels=labels + 1,
+                   num_classes=len(classes), classes=classes)
+
+
+def load_label_csv(path) -> np.ndarray:
+    """Read a header CSV of one integer label column, as load_csv reads labels."""
+    header, values, row_numbers = _read_csv(path)
+    if len(header) != 1:
+        raise ValueError(f"{path}: {len(header)} columns, expected one label column")
+    return _integer_labels(path, values, row_numbers, 0)
 
 
 def load_feature_csv(path) -> np.ndarray:

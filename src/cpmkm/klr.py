@@ -130,6 +130,13 @@ def softmax_scores(scores) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def check_simplex(p, tol: float, floor: float, what: str):
+    """Raise ValueError unless each row of p sums to 1 within tol and has no
+    entry below floor; NaN fails both tests."""
+    if not (np.all(np.abs(p.sum(axis=-1) - 1.0) <= tol) and np.all(p >= floor)):
+        raise ValueError(f"{what} not on the probability simplex")
+
+
 def truncate_simplex(p, t: float) -> np.ndarray:
     """Floor entries of a probability vector at t and renormalize.
 
@@ -142,9 +149,7 @@ def truncate_simplex(p, t: float) -> np.ndarray:
     m = p.shape[-1]
     if not (0 < t < 1 / m):
         raise ValueError(f"truncation threshold must lie in (0, 1/M), got t={t}, M={m}")
-    sums = p.sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > 1e-9) or np.any(p < -1e-12):
-        raise ValueError("input not on the probability simplex")
+    check_simplex(p, 1e-9, -1e-12, "input")
     below = p < t
     if not below.any():
         return p.copy()
@@ -215,8 +220,6 @@ def klr_fit(data, kernel: KernelParams, lam: float, trunc_t: float,
     labels = np.asarray(data.labels, dtype=int)
     m = data.num_classes
     n = x.shape[0]
-    if n < m:
-        raise ValueError(f"need at least {m} samples for {m} classes, got {n}")
     _check_labels(labels, m)
     counts = np.bincount(labels - 1, minlength=m)
     if (counts == 0).any():
@@ -277,12 +280,14 @@ def cv_select(data, cv_grid: CvGrid, seed: int) -> CvSelection:
     """
     labels = np.asarray(data.labels, dtype=int)
     n = len(labels)
-    if n < cv_grid.folds:
-        raise ValueError(f"need at least {cv_grid.folds} samples for {cv_grid.folds} folds")
     counts = np.bincount(labels - 1, minlength=data.num_classes)
     # a singleton class cannot appear in every training fold
     if counts.min() < 2:
         raise ValueError("a class has too few examples to stratify across folds")
+    # fold f validates on the (f+1)-th example of each class
+    if counts.max() < cv_grid.folds:
+        raise ValueError(f"no class has {cv_grid.folds} examples: "
+                         f"a validation fold would be empty")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     # every class spreads across the folds
     assignment = np.empty(n, dtype=int)
@@ -296,11 +301,8 @@ def cv_select(data, cv_grid: CvGrid, seed: int) -> CvSelection:
         for fold in range(cv_grid.folds):
             val = assignment == fold
             tr = ~val
-            tr_labels = labels[tr]
-            if len(np.unique(tr_labels)) < data.num_classes or not val.any():
-                raise ValueError(f"fold {fold} is missing a class; cannot stratify")
             lam = 1.0 / (c * tr.sum())
-            sub = Dataset(features=data.features[tr], labels=tr_labels,
+            sub = Dataset(features=data.features[tr], labels=labels[tr],
                           num_classes=data.num_classes)
             model = klr_fit(sub, KernelParams(g), lam, cv_grid.trunc_t)
             probs = klr_predict(model, data.features[val])

@@ -16,7 +16,7 @@ from .adapt import reweight_posterior
 from .baselines import bbse_solve, confusion_estimate, mlls_em, rlls_solve
 from .cpm import MatchProblem, cpm_solve, empirical_class_probs
 from .data import Dataset, shuffled_class_indices
-from .klr import CvGrid, cv_select, klr_predict, softmax_scores
+from .klr import CvGrid, check_simplex, cv_select, klr_predict, softmax_scores
 
 METHODS = ("cpmkm", "bbse", "rlls", "mlls")
 
@@ -153,9 +153,10 @@ def metric_acc(predicted, truth) -> float:
 def metric_mse(q_hat, q_true) -> float:
     q_hat = np.asarray(q_hat, dtype=float)
     q_true = np.asarray(q_true, dtype=float)
-    for v in (q_hat, q_true):
-        if abs(v.sum() - 1.0) > 1e-8 or np.any(v < -1e-12):
-            raise ValueError("input not on the probability simplex")
+    if q_hat.shape != q_true.shape:
+        raise ValueError(f"q_hat has shape {q_hat.shape}, q_true {q_true.shape}")
+    check_simplex(q_hat, 1e-8, -1e-12, "q_hat")
+    check_simplex(q_true, 1e-8, -1e-12, "q_true")
     return float(np.mean((q_hat - q_true) ** 2))
 
 
@@ -193,9 +194,9 @@ def run_benchmark(pool: Dataset, spec: ShiftSpec, methods=METHODS,
     target/test split; reports come out ordered by (source rep, target rep,
     method).
     """
-    for name in methods:
-        if name not in METHODS:
-            raise ValueError(f"unknown method {name!r}; expected one of {METHODS}")
+    if not methods or not set(methods) <= set(METHODS):
+        raise ValueError(f"no method, or an unknown method, in {list(methods)}; "
+                         f"expected some of {METHODS}")
     if cv_grid is None:
         cv_grid = CvGrid()
     reports = []

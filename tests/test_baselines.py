@@ -61,6 +61,8 @@ def test_confusion_missing_class_rejected():
 def test_confusion_validation():
     with pytest.raises(ValueError):
         ConfusionMatrix(values=np.array([[0.5, 0.4], [0.05, 0.2]]))
+    with pytest.raises(ValueError):
+        ConfusionMatrix(values=np.array([[np.nan, 0.5], [0.25, 0.25]]))
 
 
 # ------------------------------------------------------------------ BBSE

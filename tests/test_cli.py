@@ -1,10 +1,14 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import cpmkm
 from cpmkm import cli
 from cpmkm.cli import main
 from cpmkm.shiftlab import gaussian_mixture_pool
@@ -204,6 +208,75 @@ def test_evaluate_metrics(tmp_path):
     assert res.exit_code == 0, res.output
     assert "ACC: 0.666667" in res.output
     assert "MSE: 0.01000000" in res.output
+
+
+def test_labels_written_back_in_file_values(pool_csv, tmp_path):
+    rows = pool_csv.read_text().splitlines()
+    # classes 1 and 2 of the pool, relabelled 5 and 9
+    lines = [rows[0]] + [r[:-1] + {"1": "5", "2": "9"}[r[-1]]
+                         for r in rows[1:] if r[-1] in "12"]
+    pool = tmp_path / "pool59.csv"
+    pool.write_text("\n".join(lines) + "\n")
+    scen = tmp_path / "scen"
+    res = run("simulate", "--pool", pool, "--np", "80", "--nq", "60", "--nt", "40",
+              "--alpha", "1000000", "--seed", "3", "--out-dir", scen)
+    assert res.exit_code == 0, res.output
+    for name in ("source.csv", "test.csv"):
+        labels = {r.rsplit(",", 1)[1] for r in (scen / name).read_text().splitlines()[1:]}
+        assert labels == {"5", "9"}
+    out = tmp_path / "adapted.json"
+    res = run("adapt", "--source", scen / "source.csv", "--target", scen / "target.csv",
+              "--out", out, *FAST)
+    assert res.exit_code == 0, res.output
+    assert set(json.loads(out.read_text())["target_labels"]) == {5, 9}
+
+
+def test_import_cli_skips_selftest():
+    code = "import sys, cpmkm.cli; print('cpmkm.selftest' in sys.modules)"
+    src = str(Path(cpmkm.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); "
+                          + code], capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"
+
+
+BAD_INPUTS = {
+    "bad.csv": "x0,label\n0.1,1\n0.2,1.7\n0.3,2\n",
+    "pred.csv": "label\n1\n2\n",
+    "two_columns.csv": "a,b\n1,1\n2,2\n",
+    "qh.json": '{"q_hat": [0.6, 0.4]}',
+    "no_key.json": '{"q_hat": [0.6, 0.4]}',
+    "list.json": "[0.5, 0.5]",
+    "report.json": '{"spec": {"n_q": 80}, "aggregate": [1]}',
+}
+
+
+@pytest.mark.parametrize("args, fragment", [
+    (["adapt", "--source", "bad.csv", "--target", "pred.csv"], "non-integer label"),
+    (["benchmark", "--pool", "bad.csv"], "non-integer label"),
+    (["benchmark", "--pool", "POOL", "--methods", ","], "no method"),
+    (["benchmark", "--pool", "POOL", "--mq", "0"], "m_q must be at least 1"),
+    (["simulate", "--pool", "POOL", "--mq", "0"], "m_q must be at least 1"),
+    (["simulate", "--pool", "missing.csv"], "missing.csv"),
+    (["evaluate", "--predictions", "bad.csv", "--truth", "pred.csv"], "bad.csv"),
+    (["evaluate", "--predictions", "two_columns.csv", "--truth", "pred.csv"],
+     "two_columns.csv"),
+    (["evaluate", "--predictions", "pred.csv", "--truth", "pred.csv",
+      "--q-hat", "qh.json", "--q-true", "no_key.json"], "no_key.json: not a q_true"),
+    (["evaluate", "--predictions", "pred.csv", "--truth", "pred.csv",
+      "--q-hat", "list.json", "--q-true", "qh.json"], "list.json: not a q_hat"),
+    (["plot-data", "--reports", "report.json"], "report.json: not a benchmark"),
+], ids=["adapt-label", "benchmark-label", "benchmark-no-method", "benchmark-mq-0",
+        "simulate-mq-0", "simulate-missing", "evaluate-label", "evaluate-two-columns",
+        "evaluate-no-key", "evaluate-list", "plot-data-aggregate-list"])
+def test_malformed_input_exits_1(pool_csv, tmp_path, monkeypatch, args, fragment):
+    monkeypatch.chdir(tmp_path)  # inputs, and default output paths, in tmp_path
+    for name, text in BAD_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    res = run(*(pool_csv if a == "POOL" else a for a in args))
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stderr.startswith("error: ") and fragment in res.stderr
 
 
 def test_plot_data(pool_csv, tmp_path):

@@ -181,6 +181,10 @@ def test_problem_validation():
         MatchProblem(p_hat=[0.6, 0.6], target_probs=[[0.5, 0.5]])
     with pytest.raises(ValueError):
         MatchProblem(p_hat=[0.5, 0.5], target_probs=[[0.9, 0.4]])
+    with pytest.raises(ValueError):
+        MatchProblem(p_hat=[np.nan, 0.5], target_probs=[[0.5, 0.5]])
+    with pytest.raises(ValueError):
+        MatchProblem(p_hat=[0.5, 0.5], target_probs=[[0.5, 0.5], [np.nan, 0.5]])
     problem = MatchProblem(p_hat=[0.5, 0.5], target_probs=[[0.5, 0.5]])
     for view in (cpm_objective, cpm_gradient):
         for w in ([-0.5, 1.0], [0.0, 0.0]):

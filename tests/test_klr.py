@@ -66,6 +66,8 @@ def test_truncate_invalid_threshold():
 def test_truncate_off_simplex_rejected():
     with pytest.raises(ValueError):
         truncate_simplex(np.array([0.5, 0.6]), 0.01)
+    with pytest.raises(ValueError):
+        truncate_simplex(np.array([np.nan, 0.5]), 0.01)
 
 
 def test_truncate_matrix_rows():
@@ -298,6 +300,14 @@ def test_cv_beats_most_regularized_corner():
     best_ce = min(table.values())
     corner_ce = table[(1e-6, 0.25)]
     assert best_ce <= corner_ce
+
+
+def test_cv_empty_validation_fold_rejected():
+    # 3 classes x 2 points fill folds 0 and 1 only; every training fold has all classes
+    data = Dataset(features=np.arange(6, dtype=float).reshape(-1, 1),
+                   labels=np.array([1, 1, 2, 2, 3, 3]), num_classes=3)
+    with pytest.raises(ValueError, match="validation fold would be empty"):
+        cv_select(data, CvGrid(c_values=(1.0,), g_values=(1.0,), folds=5), seed=0)
 
 
 def test_cv_singleton_class_rejected():

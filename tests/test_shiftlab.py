@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cpmkm.data import Dataset, load_csv, load_feature_csv
+from cpmkm.data import (Dataset, load_csv, load_feature_csv, load_label_csv,
+                        standardize_columns)
 from cpmkm.klr import CvGrid
 from cpmkm.shiftlab import (MIXTURE_MEANS, EvalReport, ShiftSpec, aggregate,
                             dirichlet_sample, gaussian_mixture_pool,
@@ -20,18 +21,19 @@ def write(tmp_path, text, name="data.csv"):
 
 def test_load_csv_reencodes_labels(tmp_path):
     path = write(tmp_path, "a,b,label\n1.0,2.0,5\n3.0,4.0,9\n")
-    ds = load_csv(path, "label", standardize=False)
+    ds = load_csv(path, "label")
     assert ds.num_classes == 2
     assert list(ds.labels) == [1, 2]
-    assert ds.label_mapping == {5: 1, 9: 2}
+    assert list(ds.classes) == [5, 9]
+    assert list(ds.subset([1]).classes) == [5, 9]
 
 
 def test_load_csv_standardizes_constant_column(tmp_path):
     path = write(tmp_path, "a,b,label\n7.0,1.0,1\n7.0,2.0,1\n7.0,3.0,2\n")
-    ds = load_csv(path, "label", standardize=True)
-    assert np.allclose(ds.features[:, 0], 0.0)
-    assert ds.features[:, 1].mean() == pytest.approx(0.0, abs=1e-12)
-    assert ds.features[:, 1].std() == pytest.approx(1.0)
+    features = standardize_columns(load_csv(path, "label").features)[0]
+    assert np.allclose(features[:, 0], 0.0)
+    assert features[:, 1].mean() == pytest.approx(0.0, abs=1e-12)
+    assert features[:, 1].std() == pytest.approx(1.0)
 
 
 def test_load_csv_header_only_rejected(tmp_path):
@@ -56,8 +58,9 @@ def test_load_csv_unparseable_cell_positioned(tmp_path):
      "row 3 has 2 cells"),
     (lambda path: load_csv(path, "label"), "a,label,b\n1.0,1,2.0\n\n1.0,1.7,2.0\n",
      "non-integer label at row 4, column 2"),
+    (load_label_csv, "label\n1\n1.7\n", "non-integer label at row 3, column 1"),
 ], ids=["feature-nan", "feature-short-row", "feature-bad-cell", "labeled-inf",
-        "labeled-short-row", "labeled-fractional-label"])
+        "labeled-short-row", "labeled-fractional-label", "label-fractional"])
 def test_csv_errors_positioned(tmp_path, load, text, where):
     with pytest.raises(ValueError, match=where):
         load(write(tmp_path, text))
@@ -162,6 +165,8 @@ def test_mse_examples():
     assert metric_mse([0.6, 0.4], [0.5, 0.5]) == pytest.approx(0.01)
     with pytest.raises(ValueError):
         metric_mse([0.9, 0.4], [0.5, 0.5])
+    with pytest.raises(ValueError):
+        metric_mse([np.nan, 0.5], [0.5, 0.5])
 
 
 def test_mse_symmetry():
@@ -216,6 +221,8 @@ def test_benchmark_shared_model_fingerprint():
 def test_benchmark_unknown_method_rejected():
     with pytest.raises(ValueError, match="unknown method"):
         tiny_benchmark(methods=("kmm",))
+    with pytest.raises(ValueError, match="no method"):
+        tiny_benchmark(methods=())
 
 
 # -------------------------------------------------------- synthetic oracle
