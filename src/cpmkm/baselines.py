@@ -36,7 +36,7 @@ def confusion_estimate(model: KlrModel, holdout) -> ConfusionMatrix:
     m = model.num_classes
     counts = np.bincount(labels - 1, minlength=m)
     if (counts == 0).any():
-        missing = int(np.argmin(counts)) + 1
+        missing = holdout.class_value(int(np.argmin(counts)) + 1)
         raise ValueError(f"class {missing} missing from the holdout set")
     pred = np.argmax(klr_predict(model, holdout.features), axis=1)
     joint = np.bincount(pred * m + labels - 1, minlength=m * m)

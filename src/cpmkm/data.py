@@ -40,6 +40,10 @@ class Dataset:
     def dim(self):
         return self.features.shape[1]
 
+    def class_value(self, cls: int):
+        """The file's label value of class cls (cls itself without a file)."""
+        return cls if self.classes is None else int(self.classes[cls - 1])
+
     def subset(self, indices) -> "Dataset":
         return Dataset(features=self.features[indices], labels=self.labels[indices],
                        num_classes=self.num_classes, classes=self.classes)

@@ -36,9 +36,9 @@ def kernel_eval(x, y, params: KernelParams) -> float:
 def gram(rows, cols, params: KernelParams) -> GramMatrix:
     """Gram matrix K[i, j] = k(rows[i], cols[j]).
 
-    Squared distances come from one matrix product, ||x||^2 + ||y||^2 - 2 x.y,
-    on points centred at the mean of `cols`, so offset features lose no
-    precision.  The few entries whose expanded value falls under the
+    The exponent -g ||x - y||^2 comes from one matrix product of the augmented
+    points [x, ||x||^2, 1] and [2g y, -g, -g ||y||^2], centred at the mean of
+    `cols`, so offset features lose no precision.  The few entries within the
     round-off bound of the expansion are recomputed from the differences, so
     identical points get exactly 1.  A self-Gram is exactly symmetric.
     """
@@ -53,23 +53,19 @@ def gram(rows, cols, params: KernelParams) -> GramMatrix:
     symmetric = rows is cols or (rows.shape == cols.shape and np.array_equal(rows, cols))
     center = cols.mean(axis=0)
     x = rows - center
-    # a separate y even when symmetric: numpy's syrk path for x @ x.T is slower
     y = cols - center
     xx = np.einsum("ij,ij->i", x, x)
     yy = xx if symmetric else np.einsum("ij,ij->i", y, y)
-    d2 = x @ y.T
-    d2 *= -2.0
-    d2 += xx[:, None]
-    d2 += yy
-    # the expansion errs by at most a few d * eps * (|x|^2 + |y|^2)
+    # a self-Gram adds its transpose below, so each half carries g/2
+    g = params.gamma_sq_inv / (2.0 if symmetric else 1.0)
+    s = (np.column_stack([x, xx, np.ones(len(x))])
+         @ np.column_stack([2.0 * g * y, np.full(len(y), -g), -g * yy]).T)
+    # the expansion errs by at most a few d * eps * (|x|^2 + |y|^2), times g
     bound = 4.0 * (x.shape[1] + 2) * np.finfo(float).eps * (xx.max() + yy.max())
-    i, j = np.divmod(np.flatnonzero(d2 < bound), d2.shape[1])
+    i, j = np.divmod(np.flatnonzero(s > -g * bound), s.shape[1])
     diff = x[i] - y[j]
-    d2[i, j] = np.einsum("ij,ij->i", diff, diff)
-    scale = -params.gamma_sq_inv
+    s[i, j] = -g * np.einsum("ij,ij->i", diff, diff)
     if symmetric:
-        # the expansion's rounding is not symmetric; averaging is
-        d2 += d2.T.copy()
-        scale /= 2.0
-    d2 *= scale
-    return GramMatrix(values=np.exp(d2, out=d2))
+        # the expansion's rounding is not symmetric; the sum of both halves is
+        s += s.T.copy()
+    return GramMatrix(values=np.exp(s, out=s))

@@ -28,6 +28,7 @@ from .kernel import GramMatrix, KernelParams, gram
 
 MODEL_FORMAT_VERSION = 1
 GTOL = 1e-6  # klr_fit's L-BFGS bound on the factor-coefficient gradient
+PREDICT_BLOCK = 2 ** 17  # Gram entries per klr_predict block, 1 MB of doubles
 
 
 @dataclass(frozen=True)
@@ -223,7 +224,7 @@ def klr_fit(data, kernel: KernelParams, lam: float, trunc_t: float,
     _check_labels(labels, m)
     counts = np.bincount(labels - 1, minlength=m)
     if (counts == 0).any():
-        missing = int(np.argmin(counts)) + 1
+        missing = data.class_value(int(np.argmin(counts)) + 1)
         raise ValueError(f"class {missing} has no source examples")
     # the Gram is symmetric, so its transpose is the Fortran-ordered array
     # LAPACK factors in place; info > 0 only reports rank < n
@@ -266,9 +267,15 @@ def klr_predict(model: KlrModel, points) -> np.ndarray:
     # alpha is zero off the factor's r pivot rows: their Gram columns add nothing
     live = np.any(model.alpha != 0, axis=1)
     live[0] |= not live.any()  # one column keeps the Gram nonempty
-    k = gram(points, model.support[live], model.kernel).values
-    probs = softmax_scores(_scores(k @ model.alpha[live]))
-    return truncate_simplex(probs, model.trunc_t)
+    support, alpha = model.support[live], model.alpha[live]
+    # row blocks of PREDICT_BLOCK entries: each Gram block stays in cache
+    # from its product through the exp to the product with alpha
+    step = max(1, PREDICT_BLOCK // len(support))
+    f = np.empty((len(points), alpha.shape[1]))
+    for start in range(0, len(points), step):
+        block = points[start:start + step]
+        f[start:start + step] = gram(block, support, model.kernel).values @ alpha
+    return truncate_simplex(softmax_scores(_scores(f)), model.trunc_t)
 
 
 def cv_select(data, cv_grid: CvGrid, seed: int) -> CvSelection:

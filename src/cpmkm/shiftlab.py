@@ -99,7 +99,8 @@ def _draw_by_class(pool: Dataset, counts, rng: np.random.Generator,
         idx = np.flatnonzero(available & (pool.labels == cls))
         if len(idx) < want:
             raise ValueError(
-                f"pool exhausted for class {cls}: need {want}, have {len(idx)}")
+                f"pool exhausted for class {pool.class_value(cls)}: "
+                f"need {want}, have {len(idx)}")
         chosen.append(rng.choice(idx, size=want, replace=False))
     return np.concatenate(chosen) if chosen else np.array([], dtype=int)
 

@@ -58,6 +58,14 @@ def test_confusion_missing_class_rejected():
         confusion_estimate(model, holdout)
 
 
+def test_confusion_missing_class_named_by_file_value():
+    model, _ = separable_model_and_holdout()
+    holdout = Dataset(features=np.zeros((3, 1)), labels=np.array([1, 1, 1]),
+                      num_classes=2, classes=np.array([3.0, 4.0]))
+    with pytest.raises(ValueError, match="class 4 missing"):
+        confusion_estimate(model, holdout)
+
+
 def test_confusion_validation():
     with pytest.raises(ValueError):
         ConfusionMatrix(values=np.array([[0.5, 0.4], [0.05, 0.2]]))

@@ -247,6 +247,7 @@ BAD_INPUTS = {
     "no_key.json": '{"q_hat": [0.6, 0.4]}',
     "list.json": "[0.5, 0.5]",
     "report.json": '{"spec": {"n_q": 80}, "aggregate": [1]}',
+    "pool34.csv": "x0,label\n0.1,3\n0.2,3\n0.3,4\n0.4,4\n",
 }
 
 
@@ -265,9 +266,13 @@ BAD_INPUTS = {
     (["evaluate", "--predictions", "pred.csv", "--truth", "pred.csv",
       "--q-hat", "list.json", "--q-true", "qh.json"], "list.json: not a q_hat"),
     (["plot-data", "--reports", "report.json"], "report.json: not a benchmark"),
+    # the pool's classes are labelled 3 and 4: errors name them so
+    (["simulate", "--pool", "pool34.csv", "--np", "2", "--nq", "1", "--nt", "1"],
+     "pool exhausted for class 4:"),
 ], ids=["adapt-label", "benchmark-label", "benchmark-no-method", "benchmark-mq-0",
         "simulate-mq-0", "simulate-missing", "evaluate-label", "evaluate-two-columns",
-        "evaluate-no-key", "evaluate-list", "plot-data-aggregate-list"])
+        "evaluate-no-key", "evaluate-list", "plot-data-aggregate-list",
+        "simulate-class-value"])
 def test_malformed_input_exits_1(pool_csv, tmp_path, monkeypatch, args, fragment):
     monkeypatch.chdir(tmp_path)  # inputs, and default output paths, in tmp_path
     for name, text in BAD_INPUTS.items():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,3 +129,25 @@ def test_self_gram_exactly_symmetric_unit_diagonal(n, d, seed):
     g = gram(pts, pts, KernelParams(0.3)).values
     assert np.array_equal(g, g.T)
     assert np.all(np.diag(g) == 1.0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 50), st.floats(2.0 ** -8, 4.0), st.floats(0.0, 1e4),
+       st.integers(0, 10_000))
+def test_gram_matches_kernel_eval_entrywise(d, g, offset, seed):
+    rng = np.random.default_rng(seed)
+    shift = offset * rng.uniform(-1, 1, d)
+    rows = shift + rng.standard_normal((9, d)) * rng.uniform(0.1, 3)
+    cols = shift + rng.standard_normal((6, d))
+    rows[1] = cols[4]
+    # g ||x - y||^2 > 800 from every column: the kernel underflows to 0
+    rows[2] = shift
+    rows[2, 0] += np.sqrt(800 / g) + 20
+    p = KernelParams(g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = gram(rows, cols, p).values
+    ref = np.array([[kernel_eval(a, b, p) for b in cols] for a in rows])
+    assert k[1, 4] == 1.0
+    assert np.all(k[2] == 0.0) and np.all(ref[2] == 0.0)
+    np.testing.assert_allclose(k, ref, rtol=1e-9, atol=1e-300)

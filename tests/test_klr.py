@@ -3,9 +3,9 @@ import pytest
 
 from cpmkm.data import Dataset
 from cpmkm.kernel import GramMatrix, KernelParams, gram
-from cpmkm.klr import (CvGrid, KlrModel, cv_select, klr_fit, klr_gradient,
-                       klr_objective, klr_predict, softmax_scores,
-                       truncate_simplex)
+from cpmkm.klr import (PREDICT_BLOCK, CvGrid, KlrModel, _scores, cv_select,
+                       klr_fit, klr_gradient, klr_objective, klr_predict,
+                       softmax_scores, truncate_simplex)
 from cpmkm.shiftlab import gaussian_mixture_pool, sample_source
 
 
@@ -215,6 +215,13 @@ def test_fit_missing_class_rejected():
         klr_fit(data, KernelParams(1.0), 0.1, 1e-8)
 
 
+def test_fit_missing_class_named_by_file_value():
+    data = Dataset(features=np.zeros((4, 1)), labels=np.array([1, 1, 1, 1]),
+                   num_classes=2, classes=np.array([3.0, 4.0]))
+    with pytest.raises(ValueError, match="class 4 has no"):
+        klr_fit(data, KernelParams(1.0), 0.1, 1e-8)
+
+
 def test_fit_deterministic():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((15, 2))
@@ -345,3 +352,22 @@ def test_predict_prunes_zero_coefficient_rows():
     f = np.hstack([k @ model.alpha, np.zeros((50, 1))])
     ref = truncate_simplex(softmax_scores(f), model.trunc_t)
     assert np.abs(klr_predict(model, points) - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("g", [1 / 64, 1.0])
+def test_predict_blocks_match_dense(g):
+    # at g = 1/64 the fit is rank-deficient and prediction prunes dead rows
+    model = klr_fit(mixture_draw(), KernelParams(g), 1 / 200, 1e-8)
+    live = np.any(model.alpha != 0, axis=1)
+    assert g == 1 or live.sum() < len(live)
+    support, alpha = model.support[live], model.alpha[live]
+    step = PREDICT_BLOCK // len(support)
+    rng = np.random.default_rng(11)
+    for n in (1, step - 1, step, step + 1, 3 * step + 7):
+        points = rng.standard_normal((n, 2))
+        f = gram(points, support, model.kernel).values @ alpha
+        ref = truncate_simplex(softmax_scores(_scores(f)), model.trunc_t)
+        assert np.abs(klr_predict(model, points) - ref).max() <= 1e-14
+    a, b = rng.standard_normal((step + 3, 2)), rng.standard_normal((2 * step - 5, 2))
+    stacked = np.vstack([klr_predict(model, a), klr_predict(model, b)])
+    assert np.abs(klr_predict(model, np.vstack([a, b])) - stacked).max() <= 1e-14
