@@ -13,7 +13,7 @@ import numpy as np
 
 from .cpm import MatchProblem, cpm_solve, empirical_class_probs
 from .data import Dataset
-from .klr import CvGrid, KlrModel, cv_select, klr_predict
+from .klr import CvGrid, CvSelection, KlrModel, cv_select, klr_predict
 
 ADAPTED_FORMAT_VERSION = 1
 
@@ -23,7 +23,8 @@ class AdaptedModel:
     source_model: KlrModel
     weights: np.ndarray        # (M,) estimated q(y)/p(y)
     source_priors: np.ndarray  # (M,) empirical source class frequencies
-    cv_table: tuple = field(default=(), repr=False)
+    # the CV search that picked source_model; None when read from JSON
+    selection: CvSelection | None = field(default=None, repr=False)
 
     def __post_init__(self):
         m = self.source_model.num_classes
@@ -76,7 +77,7 @@ def adapt_pipeline(source: Dataset, target_unlabeled, cv_grid: CvGrid | None = N
     target_probs = klr_predict(selection.model, target_unlabeled)
     w = cpm_solve(MatchProblem(p_hat=priors, target_probs=target_probs))
     return AdaptedModel(source_model=selection.model, weights=w,
-                        source_priors=priors, cv_table=selection.table)
+                        source_priors=priors, selection=selection)
 
 
 def predict_target(model: AdaptedModel, points):

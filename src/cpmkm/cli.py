@@ -166,6 +166,10 @@ def cmd_adapt(source_path, target_path, label_column, standardize, seed, out_pat
     target_x = rescale(target_x)
     grid = _parse_grid(c_grid, g_grid, folds, trunc_t)
     model = adapt_pipeline(source, target_x, grid, seed)
+    cv = model.selection
+    if cv.on_boundary:
+        click.echo(f"warning: CV picked C*={cv.c:g}, g*={cv.kernel.gamma_sq_inv:g} "
+                   "on the grid edge; the optimum may lie outside the grid", err=True)
     _, labels = predict_target(model, target_x)
     q_y = target_class_probs(model)
     _write_json(out_path, {
@@ -173,7 +177,7 @@ def cmd_adapt(source_path, target_path, label_column, standardize, seed, out_pat
         "adapted_model": json.loads(model.to_json()),
         "w_hat": list(model.weights),
         "q_hat": list(q_y),
-        "cv_table": [list(row) for row in model.cv_table],
+        "cv_table": [list(row) for row in cv.table],
         "target_labels": [int(v) for v in source.classes[labels - 1]],
     })
     click.echo(f"w_hat: {np.round(model.weights, 4).tolist()}")

@@ -115,10 +115,19 @@ class CvGrid:
 @dataclass(frozen=True)
 class CvSelection:
     kernel: KernelParams
+    c: float                   # the picked C; lam = 1 / (c * n)
     lam: float
     model: KlrModel
     # rows of (C, g, mean validation CE), one per grid cell
     table: tuple = field(repr=False, default=())
+
+    @property
+    def on_boundary(self) -> bool:
+        """C* or g* sits at an end of a grid axis that has more than one value."""
+        c_axis, g_axis = list(zip(*self.table))[:2]
+        g = self.kernel.gamma_sq_inv
+        return any(len(set(axis)) > 1 and v in (min(axis), max(axis))
+                   for v, axis in ((self.c, c_axis), (g, g_axis)))
 
 
 def softmax_scores(scores) -> np.ndarray:
@@ -321,5 +330,5 @@ def cv_select(data, cv_grid: CvGrid, seed: int) -> CvSelection:
     c_star, g_star = best[0], best[1]
     lam_star = 1.0 / (c_star * n)
     model = klr_fit(data, KernelParams(g_star), lam_star, cv_grid.trunc_t)
-    return CvSelection(kernel=KernelParams(g_star), lam=lam_star, model=model,
+    return CvSelection(kernel=KernelParams(g_star), c=c_star, lam=lam_star, model=model,
                        table=tuple(table))

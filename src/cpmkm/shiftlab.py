@@ -115,7 +115,7 @@ def sample_source(pool: Dataset, n_p: int, seed) -> tuple[Dataset, np.ndarray]:
 
 def sample_target_test(pool: Dataset, spec: ShiftSpec, seed,
                        exclude: np.ndarray):
-    """Draw q_true, target features, and a disjoint labeled test set."""
+    """Draw q_true and the pool indices of a target and a disjoint test set."""
     m = pool.num_classes
     if spec.m_q > m:
         raise ValueError(f"m_q={spec.m_q} exceeds class count {m}")
@@ -133,14 +133,14 @@ def sample_target_test(pool: Dataset, spec: ShiftSpec, seed,
     rng_e = _rng(seed, _STREAM_TEST)
     test_counts = rng_e.multinomial(spec.n_t, q_true)
     test_idx = _draw_by_class(pool, test_counts, rng_e, available)
-    return q_true, pool.features[target_idx], pool.subset(test_idx)
+    return q_true, target_idx, test_idx
 
 
 def sample_shift_scenario(pool: Dataset, spec: ShiftSpec):
     """One full scenario: (source, target features, test, q_true)."""
     source, used = sample_source(pool, spec.n_p, spec.seed)
-    q_true, target_x, test = sample_target_test(pool, spec, spec.seed, used)
-    return source, target_x, test, q_true
+    q_true, target_idx, test_idx = sample_target_test(pool, spec, spec.seed, used)
+    return source, pool.features[target_idx], pool.subset(test_idx), q_true
 
 
 def metric_acc(predicted, truth) -> float:
@@ -214,11 +214,15 @@ def run_benchmark(pool: Dataset, spec: ShiftSpec, methods=METHODS,
         model = selection.model
         fingerprint = model.fingerprint()
         confusion = confusion_estimate(model, source.subset(held))
+        # each pool row's posterior under this draw's model, filled on first use
+        posterior = np.full((len(pool), pool.num_classes), np.nan)
         for t in range(target_reps):
-            q_true, target_x, test = sample_target_test(
+            q_true, target_idx, test_idx = sample_target_test(
                 pool, spec, (spec.seed, s, t), used)
-            target_probs = klr_predict(model, target_x)
-            test_probs = klr_predict(model, test.features)
+            for idx in (target_idx, test_idx):
+                new = idx[np.isnan(posterior[idx, 0])]
+                posterior[new] = klr_predict(model, pool.features[new])
+            target_probs, test_probs = posterior[target_idx], posterior[test_idx]
             for name in methods:
                 w = estimate_weights(name, confusion, priors, target_probs)
                 if not np.any(w > 0):
@@ -228,7 +232,7 @@ def run_benchmark(pool: Dataset, spec: ShiftSpec, methods=METHODS,
                 pred = np.argmax(reweight_posterior(test_probs, w), axis=1) + 1
                 reports.append(EvalReport(
                     method=name,
-                    acc=metric_acc(pred, test.labels),
+                    acc=metric_acc(pred, pool.labels[test_idx]),
                     mse=metric_mse(q_hat, q_true),
                     w_hat=tuple(float(v) for v in w),
                     q_hat=tuple(float(v) for v in q_hat),

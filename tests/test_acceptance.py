@@ -61,8 +61,8 @@ def shift_runs(pool, fitted):
     for s, (model, confusion, priors, used) in enumerate(fitted):
         for nq in NQ_SWEEP:
             spec = ShiftSpec(alpha=1.0, m_q=3, n_p=N_P, n_q=nq, n_t=30, seed=0)
-            q_true, target_x, _ = sample_target_test(pool, spec, (POOL_SEED, s), used)
-            probs = klr_predict(model, target_x)
+            q_true, target_idx, _ = sample_target_test(pool, spec, (POOL_SEED, s), used)
+            probs = klr_predict(model, pool.features[target_idx])
             w_cpm = cpm_solve(MatchProblem(p_hat=priors, target_probs=probs))
             mu = np.bincount(np.argmax(probs, axis=1), minlength=3) / len(probs)
             w_bbse = bbse_solve(confusion, mu)

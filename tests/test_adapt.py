@@ -180,7 +180,7 @@ def test_pipeline_exposes_audit_artifacts():
     source = Dataset(features=x, labels=labels, num_classes=2)
     model = adapt_pipeline(source, rng.standard_normal((10, 1)), small_grid(), seed=0)
     assert model.source_priors == pytest.approx([0.5, 0.5])
-    assert len(model.cv_table) == 1
+    assert len(model.selection.table) == 1
 
 
 def test_adapted_model_json_roundtrip():

@@ -111,6 +111,21 @@ def test_config_values_typed_like_flags(scenario, tmp_path, config, flags):
         assert from_config != (tmp_path / "defaults.json").read_text()
 
 
+@pytest.mark.parametrize("c_grid, warning", [
+    ("1e-6,1", "warning: CV picked C*=1, g*=1 on the grid edge; "
+               "the optimum may lie outside the grid\n"),
+    ("1", ""),  # a one-value grid has no edge
+], ids=["edge", "one-cell"])
+def test_adapt_warns_on_grid_edge_pick(scenario, tmp_path, c_grid, warning):
+    res = run("adapt", "--source", scenario["source_path"],
+              "--target", scenario["target_path"], "--c-grid", c_grid,
+              "--g-grid", "1", "--folds", "3", "--out", tmp_path / "out.json")
+    assert res.exit_code == 0, res.output
+    assert res.stderr == warning
+    doc = json.loads((tmp_path / "out.json").read_text())
+    assert len(doc["cv_table"]) == len(c_grid.split(","))
+
+
 def test_config_value_rejected_like_flag(scenario, tmp_path):
     # a JSON float is no more an integer than `--folds 3.9` is
     for folds in ("three", 3.9):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from cpmkm import klr
 from cpmkm.data import Dataset
 from cpmkm.kernel import GramMatrix, KernelParams, gram
-from cpmkm.klr import (PREDICT_BLOCK, CvGrid, KlrModel, _scores, cv_select,
+from cpmkm.klr import (PREDICT_BLOCK, CvGrid, CvSelection, KlrModel, _scores, cv_select,
                        klr_fit, klr_gradient, klr_objective, klr_predict,
                        softmax_scores, truncate_simplex)
 from cpmkm.shiftlab import gaussian_mixture_pool, sample_source
@@ -273,6 +274,19 @@ def test_predict_dimension_mismatch():
         klr_predict(model, np.zeros((2, 3)))
 
 
+def test_predict_zero_rows_skips_gram(monkeypatch):
+    # the shift benchmark's posterior memo passes zero rows once a cell
+    # draws no row its source draw has not predicted
+    def no_gram(*args, **kwargs):
+        raise AssertionError("gram called for an empty point set")
+
+    model = KlrModel(support=np.zeros((3, 2)), alpha=np.ones((3, 2)),
+                     kernel=KernelParams(1.0), lam=0.1, trunc_t=1e-8, num_classes=3)
+    monkeypatch.setattr(klr, "gram", no_gram)
+    probs = klr_predict(model, np.empty((0, 2)))
+    assert probs.shape == (0, 3) and probs.dtype == np.float64
+
+
 # ------------------------------------------------------------------- CV
 
 def two_blob_dataset(n=40, seed=0):
@@ -307,6 +321,28 @@ def test_cv_beats_most_regularized_corner():
     best_ce = min(table.values())
     corner_ce = table[(1e-6, 0.25)]
     assert best_ce <= corner_ce
+
+
+@pytest.mark.parametrize("c_axis, g_axis, c, g, edge", [
+    ((1e-6, 1e-3, 1.0), (0.25, 0.5, 1.0), 1e-3, 0.5, False),
+    ((1e-6, 1e-3, 1.0), (0.25, 0.5, 1.0), 1e-6, 0.5, True),
+    ((1e-6, 1e-3, 1.0), (0.25, 0.5, 1.0), 1.0, 0.5, True),
+    ((1e-6, 1e-3, 1.0), (0.25, 0.5, 1.0), 1e-3, 0.25, True),
+    ((1e-6, 1e-3, 1.0), (0.25, 0.5, 1.0), 1e-3, 1.0, True),
+    ((1.0,), (0.25, 0.5, 1.0), 1.0, 0.5, False),   # a one-value axis has no edge
+    ((1e-3,), (0.5,), 1e-3, 0.5, False),
+], ids=["interior", "c-low", "c-high", "g-low", "g-high", "one-c", "one-cell"])
+def test_cv_on_boundary(c_axis, g_axis, c, g, edge):
+    table = tuple((ci, gi, 0.0) for ci in c_axis for gi in g_axis)
+    sel = CvSelection(kernel=KernelParams(g), c=c, lam=1.0, model=None, table=table)
+    assert sel.on_boundary is edge
+
+
+def test_cv_pick_reported_on_boundary():
+    data = two_blob_dataset(n=60, seed=5)
+    sel = cv_select(data, CvGrid(c_values=(1e-6, 1.0), g_values=(1.0,), folds=5), seed=2)
+    assert sel.c == 1.0 and sel.lam == 1.0 / len(data)
+    assert sel.on_boundary
 
 
 def test_cv_empty_validation_fold_rejected():

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from cpmkm import shiftlab
+from cpmkm.adapt import reweight_posterior
+from cpmkm.baselines import confusion_estimate
+from cpmkm.cpm import empirical_class_probs
 from cpmkm.data import (Dataset, load_csv, load_feature_csv, load_label_csv,
                         standardize_columns)
-from cpmkm.klr import CvGrid
-from cpmkm.shiftlab import (MIXTURE_MEANS, EvalReport, ShiftSpec, aggregate,
-                            dirichlet_sample, gaussian_mixture_pool,
+from cpmkm.klr import CvGrid, klr_predict
+from cpmkm.shiftlab import (METHODS, MIXTURE_MEANS, EvalReport, ShiftSpec, aggregate,
+                            dirichlet_sample, estimate_weights, gaussian_mixture_pool,
                             gaussian_mixture_posterior, metric_acc, metric_mse,
                             run_benchmark, sample_shift_scenario, sample_source,
                             sample_target_test)
@@ -97,14 +101,12 @@ def test_one_hot_for_single_supported_class():
 def test_scenario_disjointness():
     pool = gaussian_mixture_pool(800, seed=2)
     spec = ShiftSpec(alpha=2.0, m_q=3, n_p=120, n_q=100, n_t=100, seed=5)
-    source, used = sample_source(pool, spec.n_p, spec.seed)
-    q_true, target_x, test = sample_target_test(pool, spec, spec.seed, used)
-    # target/test rows must come from outside the source index set
-    src_rows = {tuple(r) for r in pool.features[used]}
-    for row in target_x:
-        assert tuple(row) not in src_rows
-    for row in test.features:
-        assert tuple(row) not in src_rows
+    _, used = sample_source(pool, spec.n_p, spec.seed)
+    _, target_idx, test_idx = sample_target_test(pool, spec, spec.seed, used)
+    assert (len(used), len(target_idx), len(test_idx)) == (spec.n_p, spec.n_q, spec.n_t)
+    # source, target and test index sets are pairwise disjoint, without repeats
+    drawn = np.concatenate([used, target_idx, test_idx])
+    assert len(np.unique(drawn)) == len(drawn)
 
 
 def test_uniform_source_counts_with_remainder():
@@ -118,15 +120,13 @@ def test_uniform_source_counts_with_remainder():
 def test_target_counts_track_q_true():
     pool = gaussian_mixture_pool(4000, seed=4)
     spec = ShiftSpec(alpha=5.0, m_q=3, n_p=60, n_q=300, n_t=30, seed=0)
-    rows = {tuple(r): lab for r, lab in zip(pool.features, pool.labels)}
     n_draws = 200
     devs = np.zeros((n_draws, 3))
     var_sum = np.zeros(3)
     for s in range(n_draws):
         _, used = sample_source(pool, spec.n_p, (s,))
-        q_true, tx, _ = sample_target_test(pool, spec, (s,), used)
-        labs = np.array([rows[tuple(r)] for r in tx])
-        counts = np.bincount(labs - 1, minlength=3)
+        q_true, target_idx, _ = sample_target_test(pool, spec, (s,), used)
+        counts = np.bincount(pool.labels[target_idx] - 1, minlength=3)
         devs[s] = counts - spec.n_q * q_true
         var_sum += spec.n_q * q_true * (1 - q_true)
     se = np.sqrt(var_sum) / n_draws  # SE of the mean deviation per class
@@ -216,6 +216,56 @@ def test_benchmark_shared_model_fingerprint():
                              source_reps=1, target_reps=2)
     fps = {r.model_fingerprint for r in reports}
     assert len(fps) == 1
+
+
+def test_benchmark_predicts_each_pool_row_once_per_source_draw(monkeypatch):
+    # a small pool, so that the later cells of a draw bring no new rows
+    pool = gaussian_mixture_pool(300, seed=11)
+    spec = ShiftSpec(alpha=1.0, m_q=3, n_p=60, n_q=20, n_t=20, seed=3)
+    grid = CvGrid(c_values=(1.0,), g_values=(1.0,), folds=3)
+    source_reps, target_reps = 2, 30
+    fits, calls = [], []  # (model, confusion) per draw; (draw, rows) per predict
+
+    def recording_confusion(model, held):
+        fits.append((model, confusion_estimate(model, held)))
+        return fits[-1][1]
+
+    def counting_predict(model, points):
+        calls.append((len(fits) - 1, len(points)))
+        return klr_predict(model, points)
+
+    monkeypatch.setattr(shiftlab, "confusion_estimate", recording_confusion)
+    monkeypatch.setattr(shiftlab, "klr_predict", counting_predict)
+    reports = run_benchmark(pool, spec, METHODS, source_reps, target_reps, grid)
+
+    # reference: every cell predicts its own rows afresh
+    ref = []
+    for s, (model, confusion) in enumerate(fits):
+        source, used = sample_source(pool, spec.n_p, (spec.seed, s))
+        priors = empirical_class_probs(source.labels, source.num_classes)
+        drawn = set()
+        for t in range(target_reps):
+            _, target_idx, test_idx = sample_target_test(
+                pool, spec, (spec.seed, s, t), used)
+            drawn.update(target_idx, test_idx)
+            target_probs = klr_predict(model, pool.features[target_idx])
+            test_probs = klr_predict(model, pool.features[test_idx])
+            for name in METHODS:
+                w = estimate_weights(name, confusion, priors, target_probs)
+                pred = np.argmax(reweight_posterior(test_probs, w), axis=1) + 1
+                ref.append((w, metric_acc(pred, pool.labels[test_idx])))
+        rows = [n for rep, n in calls if rep == s]
+        assert len(rows) == 2 * target_reps
+        # each row drawn in this draw is predicted exactly once
+        assert sum(rows) == len(drawn) <= len(pool)
+        assert rows[-1] == 0
+    assert len(fits) == source_reps and len(reports) == len(ref)
+    for report, (w, acc) in zip(reports, ref):
+        # MLLS stops once a map moves q by at most 1e-8 in L1, so round-off
+        # in the posteriors can move its stopping point by a map
+        atol = 1e-5 if report.method == "mlls" else 1e-9
+        assert np.allclose(report.w_hat, w, rtol=0, atol=atol)
+        assert report.acc == acc
 
 
 def test_benchmark_unknown_method_rejected():
