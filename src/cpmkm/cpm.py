@@ -56,45 +56,55 @@ def _check_w(w, num_classes: int) -> np.ndarray:
     return w
 
 
-def _denominators(problem: MatchProblem, w: np.ndarray) -> np.ndarray:
-    s = problem.target_probs @ w
-    return np.maximum(s, FLOOR_S)
-
-
 def reweighted_target_probs(problem: MatchProblem, w) -> np.ndarray:
     """(1/n_q) sum_i p_hat(y|X_i) / sum_m w_m p_hat(m|X_i), per class y."""
     w = _check_w(w, problem.num_classes)
-    s = _denominators(problem, w)
+    s = np.maximum(problem.target_probs @ w, FLOOR_S)
     return (problem.target_probs / s[:, None]).mean(axis=0)
 
 
-def _loss_and_grad(problem: MatchProblem, w: np.ndarray) -> tuple[float, np.ndarray]:
-    """Squared mismatch and its gradient from one pass over the denominators."""
-    s = _denominators(problem, w)
-    tp = problem.target_probs
-    diff = problem.p_hat - (tp / s[:, None]).mean(axis=0)
-    # J[y, m] = (1/n_q) sum_i p(y|X_i) p(m|X_i) / s_i^2  (= -dr_y/dw_m)
-    jac = (tp / s[:, None] ** 2).T @ tp / tp.shape[0]
-    return float(np.sum(diff ** 2)), 2.0 * jac.T @ diff
+def _loss_and_grad(w: np.ndarray, p_hat: np.ndarray,
+                   tt: np.ndarray) -> tuple[float, np.ndarray]:
+    """Squared mismatch and its gradient on class-major posteriors tt (M, n_q).
+
+    With a[y, i] = p(y|X_i) / s_i the reweighted means are a.sum(1) / n_q, and
+    J = a a' / n_q is minus their Jacobian in w, so the gradient is
+    2 J diff = (2 / n_q) a (diff' a).  Reductions run along contiguous rows.
+    """
+    n = tt.shape[1]
+    a = tt / np.maximum(w @ tt, FLOOR_S)
+    diff = p_hat - a.sum(axis=1) / n
+    return float(diff @ diff), (2.0 / n) * (a @ (diff @ a))
+
+
+def _class_major(problem: MatchProblem) -> np.ndarray:
+    """The (M, n_q) contiguous copy of the posteriors that _loss_and_grad takes."""
+    return np.ascontiguousarray(problem.target_probs.T)
 
 
 def cpm_objective(problem: MatchProblem, w) -> float:
-    return _loss_and_grad(problem, _check_w(w, problem.num_classes))[0]
+    return _loss_and_grad(_check_w(w, problem.num_classes), problem.p_hat,
+                          _class_major(problem))[0]
 
 
 def cpm_gradient(problem: MatchProblem, w) -> np.ndarray:
-    return _loss_and_grad(problem, _check_w(w, problem.num_classes))[1]
+    return _loss_and_grad(_check_w(w, problem.num_classes), problem.p_hat,
+                          _class_major(problem))[1]
 
 
 def cpm_solve(problem: MatchProblem) -> np.ndarray:
-    """Minimize the matching objective over w >= 0 from w0 = 1 (L-BFGS-B)."""
+    """Minimize the matching objective over w >= 0 from w0 = 1 (L-BFGS-B).
+
+    Falls back to w0 when the solver ends at a higher objective than it began.
+    """
     m = problem.num_classes
+    tt = _class_major(problem)
     w0 = np.ones(m)
-    f0 = cpm_objective(problem, w0)
+    f0 = _loss_and_grad(w0, problem.p_hat, tt)[0]
     # L-BFGS-B evaluates only within the bounds, where _loss_and_grad is defined
-    res = minimize(lambda w: _loss_and_grad(problem, w), w0, jac=True,
+    res = minimize(_loss_and_grad, w0, args=(problem.p_hat, tt), jac=True,
                    method="L-BFGS-B", bounds=[(0.0, None)] * m,
                    options={"maxiter": MAX_ITER, "gtol": 1e-8, "ftol": 1e-12})
-    if cpm_objective(problem, res.x) > f0:
+    if res.fun > f0:
         return w0
     return res.x

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import csv
-from array import array
+import warnings
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -68,54 +69,90 @@ def shuffled_class_indices(labels: np.ndarray, rng: np.random.Generator):
         yield idx
 
 
-def _read_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Header, (n, width) finite float cells and file row numbers of a header CSV.
+def _read_csv(path) -> tuple[list[str], np.ndarray]:
+    """Header and (n, width) finite float cells of a header CSV.
 
     Blank rows are skipped; every other row must have one cell per header
-    column.  Errors name the file row (the header is row 1) and the column.
+    column.  numpy's C reader parses the body in one pass; only when it
+    fails, or a check on its result does, is the file read again to find the
+    row (the header is row 1) and column that errors name.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise ValueError(f"{path}: empty file")
-        width = len(header)
-        # packed C doubles and ints: a list per row would hold a float object
-        # per cell, several times the array's memory, until the end
-        cells_read, row_numbers = array("d"), array("q")
-        for r, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise ValueError(f"{path}: row {r} has {len(row)} cells, "
-                                 f"the header has {width}")
-            cells = iter(row)
-            try:
-                cells_read.extend([float(cell) for cell in cells])
-            except ValueError:
-                # the bad cell is the last one the comprehension consumed
-                column = width - sum(1 for _ in cells)
-                raise ValueError(f"{path}: unparseable cell at row {r}, "
-                                 f"column {column}")
-            row_numbers.append(r)
-    if not row_numbers:
-        raise ValueError(f"{path}: no data rows")
-    values = np.frombuffer(cells_read, dtype=float).reshape(-1, width)
+        try:
+            with warnings.catch_warnings():
+                # a body of blank rows is reported below as "no data rows"
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                values = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
+                                    ndmin=2)
+        except ValueError as exc:
+            raise _malformed(path, len(header), str(exc)) from None
+    if values.shape[1] != len(header) or not len(values):
+        raise _malformed(path, len(header), f"{values.shape[1]} cells per row")
     bad = np.argwhere(~np.isfinite(values))
     if len(bad):
         i, c = bad[0]
-        raise ValueError(f"{path}: non-finite value at row {row_numbers[i]}, "
+        raise ValueError(f"{path}: non-finite value at row {_file_row(path, i)}, "
                          f"column {c + 1}")
-    return header, values, np.frombuffer(row_numbers, dtype=np.int64)
+    return header, values
 
 
-def _integer_labels(path, values, row_numbers, column) -> np.ndarray:
+def _data_rows(fh):
+    """(file row, cells) of each non-blank row after the header."""
+    rows = enumerate(csv.reader(fh), start=1)
+    next(rows, None)
+    return ((r, row) for r, row in rows if row)
+
+
+def _file_row(path, index: int) -> int:
+    """File row of the index-th data row, counted as _read_csv counts them."""
+    with open(path, newline="") as fh:
+        return next(islice(_data_rows(fh), index, None))[0]
+
+
+def _parses(cell: str) -> bool:
+    """Whether loadtxt reads the cell as a float: float() syntax in ASCII,
+    without the digit-group underscores and non-ASCII digits float() takes."""
+    text = cell.strip()
+    if "_" in text or not text.isascii():
+        return False
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _malformed(path, width: int, cause: str) -> ValueError:
+    """The positioned error for the first data row loadtxt could not take:
+    a cell count that differs from the header's, or a cell it cannot parse."""
+    with open(path, newline="") as fh:
+        seen = False
+        for r, row in _data_rows(fh):
+            seen = True
+            if len(row) != width:
+                return ValueError(f"{path}: row {r} has {len(row)} cells, "
+                                  f"the header has {width}")
+            for c, cell in enumerate(row, start=1):
+                if not _parses(cell):
+                    return ValueError(f"{path}: unparseable cell at row {r}, "
+                                      f"column {c}")
+    if not seen:
+        return ValueError(f"{path}: no data rows")
+    # only where csv and loadtxt split quoted text differently; loadtxt's
+    # own message then locates the cell, counting data rows from 0
+    return ValueError(f"{path}: {cause}")
+
+
+def _integer_labels(path, values, column) -> np.ndarray:
     """The label column of _read_csv's values; a fractional label is an error."""
     labels = values[:, column]
     fractional = np.flatnonzero(labels != np.trunc(labels))
     if len(fractional):
         raise ValueError(f"{path}: non-integer label at row "
-                         f"{row_numbers[fractional[0]]}, column {column + 1}")
+                         f"{_file_row(path, fractional[0])}, column {column + 1}")
     return labels
 
 
@@ -125,11 +162,11 @@ def load_csv(path, label_column: str) -> Dataset:
     Labels must be integers; they are re-encoded to contiguous 1..M in
     sorted order of the file's values, which the Dataset keeps as `classes`.
     """
-    header, values, row_numbers = _read_csv(path)
+    header, values = _read_csv(path)
     if label_column not in header:
         raise ValueError(f"{path}: no column named {label_column!r}")
     column = header.index(label_column)
-    classes, labels = np.unique(_integer_labels(path, values, row_numbers, column),
+    classes, labels = np.unique(_integer_labels(path, values, column),
                                 return_inverse=True)
     if len(classes) < 2:
         raise ValueError(f"{path}: only one class present")
@@ -139,10 +176,10 @@ def load_csv(path, label_column: str) -> Dataset:
 
 def load_label_csv(path) -> np.ndarray:
     """Read a header CSV of one integer label column, as load_csv reads labels."""
-    header, values, row_numbers = _read_csv(path)
+    header, values = _read_csv(path)
     if len(header) != 1:
         raise ValueError(f"{path}: {len(header)} columns, expected one label column")
-    return _integer_labels(path, values, row_numbers, 0)
+    return _integer_labels(path, values, 0)
 
 
 def load_feature_csv(path) -> np.ndarray:

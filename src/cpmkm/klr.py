@@ -21,7 +21,6 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpstrf
 from scipy.optimize import minimize
-from scipy.special import logsumexp
 
 from .data import Dataset, shuffled_class_indices
 from .kernel import GramMatrix, KernelParams, gram
@@ -181,13 +180,18 @@ def _check_labels(labels: np.ndarray, num_classes: int):
 
 def _ce_and_resid(f: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean CE of the M-1 score columns f and the residual softmax - one-hot,
-    which is n times the CE gradient in f."""
-    n = f.shape[0]
+    which is n times the CE gradient in f.  One exp serves both: the CE's
+    log-sum-exp and the softmax share the row maxima and row sums."""
+    if not np.all(np.isfinite(f)):
+        raise ValueError("non-finite score")
+    rows, picked = np.arange(f.shape[0]), labels - 1
     scores = _scores(f)
-    rows = np.arange(n)
-    ce = float(np.mean(logsumexp(scores, axis=1) - scores[rows, labels - 1]))
-    resid = softmax_scores(scores)
-    resid[rows, labels - 1] -= 1.0
+    shift = scores.max(axis=1, keepdims=True)
+    e = np.exp(scores - shift)
+    total = e.sum(axis=1, keepdims=True)
+    ce = float(np.mean(np.log(total) + shift - scores[rows, picked, None]))
+    resid = e / total
+    resid[rows, picked] -= 1.0
     return ce, resid[:, :-1]
 
 

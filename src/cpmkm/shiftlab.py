@@ -8,7 +8,7 @@ fitted model, and records ACC/MSE per repetition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -71,7 +71,8 @@ class EvalReport:
     model_fingerprint: str = ""
 
     def to_dict(self):
-        return asdict(self)
+        # shallow: asdict would deep-copy every tuple of every report
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def dirichlet_sample(alpha: float, size: int, rng: np.random.Generator) -> np.ndarray:

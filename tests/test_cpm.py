@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cpmkm import cpm
 from cpmkm.cpm import (MatchProblem, cpm_gradient, cpm_objective, cpm_solve,
                        empirical_class_probs, reweighted_target_probs)
 from cpmkm.selftest import _fd_match
@@ -148,6 +149,41 @@ def test_solve_no_shift_monte_carlo():
 def test_solve_single_class_returns_one():
     problem = MatchProblem(p_hat=[1.0], target_probs=[[1.0], [1.0], [1.0]])
     assert cpm_solve(problem) == pytest.approx([1.0])
+
+
+def row_major_loss_and_grad(problem, w):
+    """Reference: the squared mismatch and its gradient on the row-major
+    (n_q, M) posteriors, with the Jacobian formed explicitly."""
+    tp = problem.target_probs
+    s = np.maximum(tp @ w, 1e-12)
+    diff = problem.p_hat - (tp / s[:, None]).mean(axis=0)
+    jac = (tp / s[:, None] ** 2).T @ tp / len(tp)
+    return float(np.sum(diff ** 2)), 2.0 * jac.T @ diff
+
+
+def test_solve_minimizes_the_views(monkeypatch):
+    # the class-major function cpm_solve hands L-BFGS-B is the one the
+    # cpm_objective / cpm_gradient views evaluate
+    seen, real_minimize = [], cpm.minimize
+
+    def spy(fun, x0, args=(), **kwargs):
+        seen.append((fun, args))
+        return real_minimize(fun, x0, args=args, **kwargs)
+
+    monkeypatch.setattr(cpm, "minimize", spy)
+    rng = np.random.default_rng(11)
+    for m in range(2, 8):
+        problem = random_problem(rng, m=m, nq=int(rng.integers(1, 40)))
+        cpm_solve(problem)
+        fun, args = seen[-1]
+        for _ in range(5):
+            w = rng.random(m) * 3 + 1e-3
+            value, grad = fun(w, *args)
+            np.testing.assert_allclose(value, cpm_objective(problem, w), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(grad, cpm_gradient(problem, w), rtol=0, atol=1e-14)
+            ref_value, ref_grad = row_major_loss_and_grad(problem, w)
+            np.testing.assert_allclose(value, ref_value, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-15)
 
 
 def test_solve_never_worse_than_start():

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import logsumexp
 
 from cpmkm import klr
 from cpmkm.data import Dataset
@@ -117,6 +121,33 @@ def test_gradient_hand_case():
     k = GramMatrix(values=np.eye(2))
     g = klr_gradient(np.zeros((2, 1)), k, [1, 2], 0.77)
     assert g.ravel() == pytest.approx([-0.25, 0.25])
+
+
+@settings(deadline=None)
+@given(st.sampled_from([2, 3, 10]).flatmap(lambda m: st.tuples(
+    arrays(float, st.tuples(st.integers(1, 20), st.just(m - 1)),
+           elements=st.floats(-1e3, 1e3)),
+    st.lists(st.integers(1, m), min_size=20, max_size=20))))
+def test_ce_and_resid_matches_logsumexp_softmax(case):
+    f, labels = case
+    labels = np.array(labels[:len(f)])
+    scores = _scores(f)
+    rows = np.arange(len(f))
+    ce_ref = float(np.mean(logsumexp(scores, axis=1) - scores[rows, labels - 1]))
+    resid_ref = softmax_scores(scores)
+    resid_ref[rows, labels - 1] -= 1.0
+    ce, resid = klr._ce_and_resid(f, labels)
+    # log(total) cannot resolve a total within one ulp of 1, where logsumexp's
+    # log1p keeps the excess, so near-zero CE is compared on the ulp scale
+    np.testing.assert_allclose(ce, ce_ref, rtol=1e-14, atol=np.finfo(float).eps)
+    np.testing.assert_allclose(resid, resid_ref[:, :-1], rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ce_and_resid_rejects_nonfinite(bad):
+    f = np.array([[0.5, bad], [0.1, 0.2]])
+    with pytest.raises(ValueError, match="non-finite score"):
+        klr._ce_and_resid(f, np.array([1, 3]))
 
 
 def test_objective_convex():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -63,11 +65,36 @@ def test_load_csv_unparseable_cell_positioned(tmp_path):
     (lambda path: load_csv(path, "label"), "a,label,b\n1.0,1,2.0\n\n1.0,1.7,2.0\n",
      "non-integer label at row 4, column 2"),
     (load_label_csv, "label\n1\n1.7\n", "non-integer label at row 3, column 1"),
+    (load_feature_csv, "a,b\n\n1.0,2.0\n\n\nnan,1.0\n",
+     "non-finite value at row 6, column 1"),
+    (lambda path: load_csv(path, "label"), "a,label\n\n1.0,1\n\n2.0,1.5\n",
+     "non-integer label at row 5, column 2"),
+    (load_feature_csv, "a,b\n1.0\n2.0\n", "row 2 has 1 cells, the header has 2"),
+    (load_feature_csv, "a,b\n1.0,2.0\n3.0,1_000\n", "unparseable cell at row 3, column 2"),
+    (load_feature_csv, "a,b\n1.0,2.0\n\u0663,4.0\n", "unparseable cell at row 3, column 1"),
 ], ids=["feature-nan", "feature-short-row", "feature-bad-cell", "labeled-inf",
-        "labeled-short-row", "labeled-fractional-label", "label-fractional"])
+        "labeled-short-row", "labeled-fractional-label", "label-fractional",
+        "feature-nan-after-blank-rows", "labeled-fractional-after-blank-rows",
+        "feature-every-row-short", "feature-underscore-digits", "feature-non-ascii-digit"])
 def test_csv_errors_positioned(tmp_path, load, text, where):
     with pytest.raises(ValueError, match=where):
         load(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("text", ["a,b,label\n", "a,b,label\n\n"],
+                         ids=["header-only", "header-and-blank-row"])
+def test_load_csv_header_only_no_warning(tmp_path, text):
+    path = write(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no data rows"):
+            load_csv(path, "label")
+
+
+def test_load_csv_quoted_cells(tmp_path):
+    ds = load_csv(write(tmp_path, 'a,"b",label\n"1.5",2.0,1\n3.0,"4e1","2"\n'), "label")
+    assert ds.features.tolist() == [[1.5, 2.0], [3.0, 40.0]]
+    assert list(ds.labels) == [1, 2]
 
 
 def test_load_csv_single_class_rejected(tmp_path):
