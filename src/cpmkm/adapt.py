@@ -56,7 +56,7 @@ def reweight_posterior(p_row, w) -> np.ndarray:
     p = np.asarray(p_row, dtype=float)
     w = np.asarray(w, dtype=float)
     num = p * w
-    den = num.sum(axis=-1, keepdims=True)
+    den = (num @ np.ones(num.shape[-1]))[..., None]
     if np.any(den <= 0):
         raise ValueError("zero denominator: w eliminates all probability mass")
     return num / den

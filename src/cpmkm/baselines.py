@@ -72,18 +72,23 @@ def rlls_solve(confusion: ConfusionMatrix, target_pred_dist,
     return np.maximum(1.0 + theta, 0.0)
 
 
+def _class_major_ratio(probs: np.ndarray, priors: np.ndarray) -> np.ndarray:
+    """The (M, n) contiguous ratio p(m|x_i) / p(m) that the EM helpers take."""
+    return np.ascontiguousarray(probs.T) / priors[:, None]
+
+
 def _em_map(ratio: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """One prior-shift EM map, q(m) <- q(m) mean_i ratio_im / sum_j q(j) ratio_ij,
-    for ratio_im = p(m|x_i) / p(m)."""
-    denom = ratio @ q
-    if not np.all(np.isfinite(denom)) or np.any(denom <= 0):
+    """One prior-shift EM map, q(m) <- q(m) mean_i ratio_mi / sum_j q(j) ratio_ji,
+    on the class-major ratio_mi = p(m|x_i) / p(m)."""
+    denom = q @ ratio
+    if not denom.min() > 0:
         raise ValueError("non-finite likelihood in EM iteration")
-    return q * (ratio.T @ (1.0 / denom)) / ratio.shape[0]
+    return q * (ratio @ (1.0 / denom)) / ratio.shape[1]
 
 
 def _mean_log_lik(ratio: np.ndarray, q: np.ndarray):
     """Mean target log-likelihood of priors q, up to a constant in q."""
-    return np.mean(np.log(ratio @ q))
+    return np.log(q @ ratio).sum() / ratio.shape[1]
 
 
 def mlls_em(target_probs, source_priors, tol: float = 1e-8,
@@ -109,7 +114,7 @@ def mlls_em(target_probs, source_priors, tol: float = 1e-8,
         raise ValueError("posterior entries must be strictly positive")
     if np.any(priors <= 0):
         raise ValueError("source priors must be strictly positive")
-    ratio = probs / priors
+    ratio = _class_major_ratio(probs, priors)
     steps = 0
 
     def em_step(q):
@@ -149,5 +154,6 @@ def mlls_em(target_probs, source_priors, tol: float = 1e-8,
 
 def mlls_log_likelihood(target_probs, source_priors, q) -> float:
     """Mean target log-likelihood of priors q under the fixed source posteriors."""
-    ratio = np.atleast_2d(np.asarray(target_probs, dtype=float)) / np.asarray(source_priors)
+    ratio = _class_major_ratio(np.atleast_2d(np.asarray(target_probs, dtype=float)),
+                               np.asarray(source_priors, dtype=float))
     return float(_mean_log_lik(ratio, np.asarray(q, dtype=float)))

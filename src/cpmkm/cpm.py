@@ -1,21 +1,26 @@
 """Class probability matching: estimate the ratio w(y) = q(y)/p(y).
 
 Matches the source class frequencies against the target-averaged reweighted
-posterior by box-constrained quasi-Newton minimization of the squared
-mismatch, starting from the no-shift point w = 1.
+posterior by projected Newton minimization of the squared mismatch over
+w >= 0, starting from the no-shift point w = 1.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .klr import check_simplex
 
 FLOOR_S = 1e-12  # floor on each target point's denominator sum_m w_m p(m|x)
-MAX_ITER = 1000  # L-BFGS-B iteration cap of cpm_solve
+MAX_ITER = 1000  # projected Newton iteration cap of cpm_solve
+ARMIJO = 1e-4    # sufficient-decrease fraction of cpm_solve's line search
+T_MIN = 2.0 ** -40  # shortest step along the projection arc
+ANGLE = 1e-8     # least cosine between a Newton step and -g
+EPS_ACTIVE = 1e-3  # largest w_k that cpm_solve's active set can hold
+ROUND = 8 * np.finfo(float).eps  # bound on f's rounding error per |r| (|p_hat| + |mean a|)
 
 
 @dataclass(frozen=True)
@@ -92,19 +97,97 @@ def cpm_gradient(problem: MatchProblem, w) -> np.ndarray:
                           _class_major(problem))[1]
 
 
-def cpm_solve(problem: MatchProblem) -> np.ndarray:
-    """Minimize the matching objective over w >= 0 from w0 = 1 (L-BFGS-B).
+def _newton_step(jac: np.ndarray, curv: np.ndarray, r: np.ndarray, g: np.ndarray,
+                 free: np.ndarray) -> np.ndarray:
+    """Newton direction on the free coordinates, zero on the others.
 
-    Falls back to w0 when the solver ends at a higher objective than it began.
+    For g = 2 J r the exact Hessian is H = 2 (J^2 - 2 curv), where
+    curv = (a (r'a)) a' / n_q is the residual's curvature term.  The other
+    coordinates are pinned by identity rows, so one M x M solve gives the
+    free block's step.  Where that block is singular, or its step is no
+    descent direction within the cosine ANGLE of -g, the Gauss-Newton step
+    replaces it: the least-squares solution of J_F d = -r, from a solve that
+    never raises and squares no condition number.
     """
-    m = problem.num_classes
-    tt = _class_major(problem)
+    h = 2.0 * (jac @ jac - 2.0 * curv)
+    gf = g
+    if not free.all():
+        gf = np.where(free, g, 0.0)
+        h = np.where(np.outer(free, free), h, np.diag(~free))
+    try:
+        d = np.linalg.solve(h, -gf)
+        if gf @ d < -ANGLE * math.sqrt(float(gf @ gf) * float(d @ d)):
+            return d
+    except np.linalg.LinAlgError:
+        pass
+    return np.where(free, np.linalg.lstsq(jac * free, -r)[0], 0.0)
+
+
+def cpm_solve(problem: MatchProblem) -> np.ndarray:
+    """Minimize the matching objective over w >= 0 by projected Newton from w0 = 1.
+
+    Each iteration frees the coordinates that are not epsilon-active, takes
+    the Newton direction on them (Bertsekas 1982), and backtracks along the
+    projection arc max(w + t d, 0) until the Armijo condition holds up to the
+    objective's rounding error.  It stops when no free direction descends (the
+    KKT conditions hold to round-off), or after a full step whose projected
+    Newton decrement -g'd, the decrease its model predicts, was below that
+    rounding error: near the minimum that step leaves w off by the square of
+    its length.  Falls back to w0 when the solve ends at a higher objective
+    than it began.
+    """
+    p_hat, tt = problem.p_hat, _class_major(problem)
+    m, n = tt.shape
+
+    def state(w):
+        """A 2M-row buffer holding a on top, the residual r and f = |r|^2."""
+        buf = np.empty((2 * m, n))
+        a = np.divide(tt, np.maximum(w @ tt, FLOOR_S), out=buf[:m])
+        r = p_hat - a.sum(axis=1) / n
+        return buf, r, float(r @ r)
+
+    def arc_search(w, f, d, slope, slack):
+        """The first w_t = max(w + t d, 0), t = 1, 1/2, ..., down to T_MIN,
+        that passes the Armijo test, with its state; None if none does."""
+        t = 1.0
+        while t >= T_MIN:
+            w_t = np.maximum(w + t * d, 0.0)
+            s_t = state(w_t)
+            if s_t[2] <= f + ARMIJO * t * slope + slack:
+                return w_t, s_t, t
+            t *= 0.5
+        return None
+
     w0 = np.ones(m)
-    f0 = _loss_and_grad(w0, problem.p_hat, tt)[0]
-    # L-BFGS-B evaluates only within the bounds, where _loss_and_grad is defined
-    res = minimize(_loss_and_grad, w0, args=(problem.p_hat, tt), jac=True,
-                   method="L-BFGS-B", bounds=[(0.0, None)] * m,
-                   options={"maxiter": MAX_ITER, "gtol": 1e-8, "ftol": 1e-12})
-    if res.fun > f0:
-        return w0
-    return res.x
+    w = w0
+    buf, r, f = state(w)
+    f0 = f
+    for _ in range(MAX_ITER):
+        # one stacked product gives J = a a' / n_q over the curvature term
+        a = buf[:m]
+        np.multiply(a, r @ a, out=buf[m:])
+        parts = buf @ a.T / n
+        jac = parts[:m]
+        g = 2.0 * jac @ r
+        # Bertsekas's epsilon-active set: a coordinate within eps of zero that
+        # the gradient pushes down is sent to zero (exactly, at t = 1)
+        pg = w - np.maximum(w - g, 0.0)
+        free = (w > min(EPS_ACTIVE, math.sqrt(pg @ pg))) | (g <= 0)
+        d = np.where(free, _newton_step(jac, parts[m:], r, g, free), -w)
+        slope = g @ d
+        if not slope < 0:
+            break  # no free direction descends: the KKT conditions hold
+        slack = ROUND * (np.abs(r) @ (2.0 * p_hat - r))  # f's rounding error
+        step = arc_search(w, f, d, slope, slack)
+        if step is None:
+            # the step overshoots its model everywhere along the arc, as on
+            # near-singular problems: a projected-gradient step instead
+            d = np.where(free, -g, -w)
+            slope = g @ d
+            step = arc_search(w, f, d, slope, slack)
+            if step is None:
+                break
+        w, (buf, r, f), t = step
+        if t == 1.0 and -slope <= slack:
+            break  # a full step whose predicted decrease was below round-off
+    return w0 if f > f0 else w

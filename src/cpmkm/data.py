@@ -77,7 +77,7 @@ def _read_csv(path) -> tuple[list[str], np.ndarray]:
     fails, or a check on its result does, is the file read again to find the
     row (the header is row 1) and column that errors name.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
             raise ValueError(f"{path}: empty file")
@@ -108,7 +108,7 @@ def _data_rows(fh):
 
 def _file_row(path, index: int) -> int:
     """File row of the index-th data row, counted as _read_csv counts them."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         return next(islice(_data_rows(fh), index, None))[0]
 
 
@@ -128,7 +128,7 @@ def _parses(cell: str) -> bool:
 def _malformed(path, width: int, cause: str) -> ValueError:
     """The positioned error for the first data row loadtxt could not take:
     a cell count that differs from the header's, or a cell it cannot parse."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         seen = False
         for r, row in _data_rows(fh):
             seen = True

@@ -142,7 +142,7 @@ def softmax_scores(scores) -> np.ndarray:
 def check_simplex(p, tol: float, floor: float, what: str):
     """Raise ValueError unless each row of p sums to 1 within tol and has no
     entry below floor; NaN fails both tests."""
-    if not (np.all(np.abs(p.sum(axis=-1) - 1.0) <= tol) and np.all(p >= floor)):
+    if not (np.all(np.abs(p @ np.ones(p.shape[-1]) - 1.0) <= tol) and np.all(p >= floor)):
         raise ValueError(f"{what} not on the probability simplex")
 
 

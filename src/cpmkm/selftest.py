@@ -6,7 +6,7 @@ import numpy as np
 
 from . import cpm, klr
 from .adapt import reweight_posterior
-from .baselines import _em_map, mlls_em, mlls_log_likelihood
+from .baselines import _class_major_ratio, _em_map, mlls_em, mlls_log_likelihood
 from .kernel import KernelParams, gram, kernel_eval
 
 
@@ -100,10 +100,11 @@ def check_mlls_monotone(rng) -> bool:
         m = int(rng.integers(2, 6))
         probs = _random_simplex(rng, (int(rng.integers(5, 60)), m))
         priors = _random_simplex(rng, m)
+        ratio = _class_major_ratio(probs, priors)
         q = priors.copy()
         ll_prev = mlls_log_likelihood(probs, priors, q)
         for _ in range(60):
-            q = _em_map(probs / priors, q)
+            q = _em_map(ratio, q)
             ll = mlls_log_likelihood(probs, priors, q)
             if abs(q.sum() - 1.0) > 1e-12 or ll < ll_prev - 1e-12:
                 return False

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import minimize
 
 from cpmkm import cpm
+from cpmkm.baselines import mlls_em
 from cpmkm.cpm import (MatchProblem, cpm_gradient, cpm_objective, cpm_solve,
                        empirical_class_probs, reweighted_target_probs)
 from cpmkm.selftest import _fd_match
+from cpmkm.shiftlab import MIXTURE_MEANS, gaussian_mixture_posterior
 
 
 def random_simplex(rng, m):
@@ -161,29 +167,75 @@ def row_major_loss_and_grad(problem, w):
     return float(np.sum(diff ** 2)), 2.0 * jac.T @ diff
 
 
-def test_solve_minimizes_the_views(monkeypatch):
-    # the class-major function cpm_solve hands L-BFGS-B is the one the
-    # cpm_objective / cpm_gradient views evaluate
-    seen, real_minimize = [], cpm.minimize
+def kkt_violation(problem, w):
+    """Largest KKT violation of cpm_gradient at w >= 0: |g_k| where w_k > 0,
+    and how far g_k falls below zero where w_k = 0."""
+    g = cpm_gradient(problem, w)
+    return float(np.max(np.where(w > 0, np.abs(g), np.maximum(-g, 0.0))))
 
-    def spy(fun, x0, args=(), **kwargs):
-        seen.append((fun, args))
-        return real_minimize(fun, x0, args=args, **kwargs)
 
-    monkeypatch.setattr(cpm, "minimize", spy)
+def test_solve_minimizes_the_views():
+    # cpm_solve ends at a KKT point of the objective that the cpm_objective /
+    # cpm_gradient views evaluate, and the views match a row-major reference
     rng = np.random.default_rng(11)
     for m in range(2, 8):
-        problem = random_problem(rng, m=m, nq=int(rng.integers(1, 40)))
-        cpm_solve(problem)
-        fun, args = seen[-1]
+        for _ in range(5):
+            problem = random_problem(rng, m=m, nq=int(rng.integers(1, 40)))
+            assert kkt_violation(problem, cpm_solve(problem)) <= 1e-9
         for _ in range(5):
             w = rng.random(m) * 3 + 1e-3
-            value, grad = fun(w, *args)
-            np.testing.assert_allclose(value, cpm_objective(problem, w), rtol=0, atol=1e-14)
-            np.testing.assert_allclose(grad, cpm_gradient(problem, w), rtol=0, atol=1e-14)
+            value, grad = cpm_objective(problem, w), cpm_gradient(problem, w)
             ref_value, ref_grad = row_major_loss_and_grad(problem, w)
             np.testing.assert_allclose(value, ref_value, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-15)
+
+
+def lbfgsb_objective(problem, w0):
+    """Reference: the objective L-BFGS-B reaches from w0 on w >= 0."""
+    m = problem.num_classes
+    res = minimize(cpm._loss_and_grad, w0, args=(problem.p_hat, cpm._class_major(problem)),
+                   jac=True, method="L-BFGS-B", bounds=[(0.0, None)] * m,
+                   options={"maxiter": 1000, "gtol": 1e-8, "ftol": 1e-12})
+    return res.fun
+
+
+@st.composite
+def match_problems(draw, zeros):
+    """M in 2..10 and n_q from 1, with duplicate rows; with zeros, posterior
+    entries may be zero, and so may p_hat's in some draws."""
+    m = draw(st.integers(2, 10))
+    entry = st.floats(1e-3, 1.0)
+    if zeros:
+        entry = st.one_of(st.just(0.0), entry)
+    row = arrays(float, m, elements=entry).filter(lambda v: v.sum() > 0)
+    rows = draw(st.lists(row, min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=30))
+    probs = np.array([rows[i] / rows[i].sum() for i in picks])
+    p = draw(arrays(float, m, elements=st.floats(1e-3, 1.0)))
+    if zeros and draw(st.integers(0, 3)) == 0:
+        p[draw(st.lists(st.integers(0, m - 1), max_size=m - 1))] = 0.0
+    return MatchProblem(p_hat=p / p.sum(), target_probs=probs)
+
+
+@settings(deadline=None, max_examples=100)
+@given(match_problems(zeros=True))
+def test_solve_robust(problem):
+    w = cpm_solve(problem)
+    assert np.all(np.isfinite(w)) and np.all(w >= 0) and np.any(w > 0)
+    assert cpm_objective(problem, w) <= cpm_objective(problem, np.ones(problem.num_classes))
+
+
+@settings(deadline=None, max_examples=150)
+@given(match_problems(zeros=False))
+def test_solve_ends_at_a_local_minimum(problem):
+    # The objective is not convex: from w0 = 1, L-BFGS-B and cpm_solve can end
+    # at different KKT points, either one lower.  So the reference starts at
+    # cpm_solve's answer and must not improve it.  With zero posterior entries
+    # the infimum can lie at w_k = infinity, where no stop is final;
+    # klr_predict floors every posterior at t > 0.
+    w = cpm_solve(problem)
+    assert cpm_objective(problem, w) <= lbfgsb_objective(problem, w) + 1e-15
+    assert kkt_violation(problem, w) <= 1e-8
 
 
 def test_solve_never_worse_than_start():
@@ -198,7 +250,6 @@ def test_solve_never_worse_than_start():
 def test_solve_monotone_iterates():
     rng = np.random.default_rng(8)
     problem = random_problem(rng, m=4, nq=15)
-    from scipy.optimize import minimize
     from cpmkm.cpm import cpm_gradient as grad
     vals = []
 
@@ -210,6 +261,68 @@ def test_solve_monotone_iterates():
              bounds=[(0, None)] * 4,
              callback=lambda w: vals.append(cpm_objective(problem, np.maximum(w, 1e-12))))
     assert np.all(np.diff(vals) <= 1e-12)
+
+
+def test_solve_near_singular_hessian():
+    # two distinct rows in M = 9: from w0 = 1 the Newton and Gauss-Newton
+    # steps are of order 1e16 and fail the line search, so the solve needs
+    # its projected-gradient step to reach the minimum
+    a = np.array([0.169216, 0.110899, 0.109188, 0.090747, 0.113213, 0.185973,
+                  0.009689, 0.185971, 0.025105])
+    b = np.array([0.17084, 0.111963, 0.110235, 0.091618, 0.114299, 0.187757,
+                  0.000188, 0.187755, 0.025346])
+    p = np.array([0.136872, 0.089702, 0.136872, 0.073401, 0.091573, 0.150426,
+                  0.150424, 0.150424, 0.020306])
+    rows = [a / a.sum() if i in (0, 1, 11) else b / b.sum() for i in range(17)]
+    problem = MatchProblem(p_hat=p / p.sum(), target_probs=rows)
+    w = cpm_solve(problem)
+    assert kkt_violation(problem, w) <= 1e-7
+    assert cpm_objective(problem, w) <= lbfgsb_objective(problem, w) + 1e-15
+
+
+# ------------------------------------- CPM and MLLS solve the same equations
+
+def mixture_draw(q, seed, shrink=0.0, n=2000):
+    """Exact posteriors under uniform source priors of n target points from
+    the 2-d three-class mixture with class weights q, mixed by shrink toward
+    uniform (as an under-confident model would give)."""
+    rng = np.random.default_rng(seed)
+    labels = rng.choice(3, size=n, p=q)
+    x = MIXTURE_MEANS[labels] + 0.35 * rng.standard_normal((n, 2))
+    return (1 - shrink) * gaussian_mixture_posterior(x) + shrink / 3
+
+
+UNIFORM = np.full(3, 1 / 3)
+
+
+def test_cpm_matches_mlls_on_an_interior_draw():
+    # An MLLS fixed point with every q_m > 0 satisfies p(m) = mean_i a_im(w),
+    # CPM's zero-residual equation for p_hat = the source priors
+    probs = mixture_draw([0.5, 0.3, 0.2], seed=0)
+    w = cpm_solve(MatchProblem(p_hat=UNIFORM, target_probs=probs))
+    assert np.all(w > 0)
+    np.testing.assert_allclose(w, mlls_em(probs, UNIFORM, tol=1e-12), rtol=0, atol=1e-10)
+
+
+def test_cpm_differs_from_mlls_on_a_boundary_draw():
+    # under-confident posteriors and an absent class: CPM's minimum lies on
+    # w_3 = 0 with a residual left, where MLLS zeroes the free classes' residuals
+    probs = mixture_draw([0.7, 0.3, 0.0], seed=0, shrink=0.5)
+    problem = MatchProblem(p_hat=UNIFORM, target_probs=probs)
+    w = cpm_solve(problem)
+    assert w[2] == 0.0
+    assert np.linalg.norm(UNIFORM - reweighted_target_probs(problem, w)) > 0.1
+    assert np.abs(w - mlls_em(probs, UNIFORM)).max() > 0.1
+
+
+@pytest.mark.parametrize("q, shrink", [([0.5, 0.3, 0.2], 0.0), ([0.7, 0.3, 0.0], 0.5)],
+                         ids=["interior", "boundary"])
+def test_solve_is_stable_to_row_order(q, shrink):
+    probs = mixture_draw(q, seed=1, shrink=shrink)
+    w = cpm_solve(MatchProblem(p_hat=UNIFORM, target_probs=probs))
+    order = np.random.default_rng(2).permutation(len(probs))
+    w_reordered = cpm_solve(MatchProblem(p_hat=UNIFORM, target_probs=probs[order]))
+    np.testing.assert_allclose(w_reordered, w, rtol=0, atol=1e-10)
 
 
 def test_problem_validation():

@@ -103,6 +103,15 @@ def test_load_csv_single_class_rejected(tmp_path):
         load_csv(path, "label")
 
 
+def test_load_csv_byte_order_mark(tmp_path):
+    # a UTF-8 byte-order mark is not part of the first header name
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbflabel,x\n1,0.5\n2,1.5\n")
+    ds = load_csv(path, "label")
+    assert list(ds.labels) == [1, 2]
+    assert ds.features.tolist() == [[0.5], [1.5]]
+
+
 def test_load_csv_missing_label_column(tmp_path):
     path = write(tmp_path, "a,b\n1.0,2.0\n")
     with pytest.raises(ValueError, match="label"):
