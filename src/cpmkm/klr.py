@@ -105,8 +105,8 @@ class CvGrid:
     trunc_t: float = 1e-8
 
     def __post_init__(self):
-        if any(c <= 0 for c in self.c_values) or any(g <= 0 for g in self.g_values):
-            raise ValueError("grid values must be positive")
+        if not all(np.isfinite(v) and v > 0 for v in (*self.c_values, *self.g_values)):
+            raise ValueError("grid values must be positive and finite")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
 
@@ -217,11 +217,24 @@ def klr_gradient(alpha, gram_self: GramMatrix, labels, lam: float) -> np.ndarray
                           np.asarray(labels, dtype=int), lam)[1]
 
 
+def pivoted_factor(x, kernel: KernelParams) -> tuple[np.ndarray, np.ndarray]:
+    """(L, p) with K[p][:, p] = L L' for the self-Gram K of x, by LAPACK's pivoted
+    Cholesky: L is n x r, r <= n the rank.  The n x n Gram is freed on return."""
+    # the Gram is symmetric, so its transpose is the Fortran-ordered array
+    # LAPACK factors in place; info > 0 only reports rank < n
+    factor, piv, rank, info = dpstrf(gram(x, x, kernel).values.T, lower=1,
+                                     overwrite_a=1)
+    if info < 0:
+        raise np.linalg.LinAlgError(f"dpstrf: illegal value in argument {-info}")
+    return np.tril(factor[:, :rank]), piv - 1
+
+
 def klr_fit(data, kernel: KernelParams, lam: float, trunc_t: float,
-            max_iter: int = 500) -> KlrModel:
+            max_iter: int = 500, factor=None) -> KlrModel:
     """Fit KLR by L-BFGS on the pivoted Cholesky factor of the Gram.
 
-    LAPACK's pivoted Cholesky gives K[p][:, p] = L L' with L of rank r <= n.
+    The factor K[p][:, p] = L L' (L of rank r <= n) is pivoted_factor's, or
+    `factor` when given, which must be pivoted_factor(data.features, kernel).
     With scores f = L beta and penalty lam * ||beta||^2 the objective equals
     the alpha-space one, but its Hessian is well conditioned, so L-BFGS from
     beta = 0 converges in tens of iterations; GTOL bounds the beta-gradient.
@@ -239,15 +252,10 @@ def klr_fit(data, kernel: KernelParams, lam: float, trunc_t: float,
     if (counts == 0).any():
         missing = data.class_value(int(np.argmin(counts)) + 1)
         raise ValueError(f"class {missing} has no source examples")
-    # the Gram is symmetric, so its transpose is the Fortran-ordered array
-    # LAPACK factors in place; info > 0 only reports rank < n
-    factor, piv, rank, info = dpstrf(gram(x, x, kernel).values.T, lower=1,
-                                     overwrite_a=1)
-    if info < 0:
-        raise np.linalg.LinAlgError(f"dpstrf: illegal value in argument {-info}")
-    chol = np.tril(factor[:, :rank])
-    del factor  # frees the n x n Gram before the solve
-    perm = piv - 1
+    chol, perm = pivoted_factor(x, kernel) if factor is None else factor
+    if chol.shape[0] != n:
+        raise ValueError(f"factor has {chol.shape[0]} rows, data has {n}")
+    rank = chol.shape[1]
     pivot_labels = labels[perm]
     shape = (rank, m - 1)
 
@@ -314,21 +322,24 @@ def cv_select(data, cv_grid: CvGrid, seed: int) -> CvSelection:
     for idx in shuffled_class_indices(labels, rng):
         assignment[idx] = np.arange(len(idx)) % cv_grid.folds
 
-    pairs = [(c, g) for c in cv_grid.c_values for g in cv_grid.g_values]
-    table = []
-    for c, g in pairs:
-        fold_ce = []
+    # the training Gram and its factor depend on g and the fold, not on C
+    ce = np.empty((len(cv_grid.c_values), len(cv_grid.g_values), cv_grid.folds))
+    for j, g in enumerate(cv_grid.g_values):
+        kernel = KernelParams(g)
         for fold in range(cv_grid.folds):
             val = assignment == fold
             tr = ~val
-            lam = 1.0 / (c * tr.sum())
             sub = Dataset(features=data.features[tr], labels=labels[tr],
                           num_classes=data.num_classes)
-            model = klr_fit(sub, KernelParams(g), lam, cv_grid.trunc_t)
-            probs = klr_predict(model, data.features[val])
-            picked = probs[np.arange(val.sum()), labels[val] - 1]
-            fold_ce.append(float(np.mean(-np.log(picked))))
-        table.append((c, g, float(np.mean(fold_ce))))
+            factor = pivoted_factor(sub.features, kernel)
+            for i, c in enumerate(cv_grid.c_values):
+                lam = 1.0 / (c * tr.sum())
+                model = klr_fit(sub, kernel, lam, cv_grid.trunc_t, factor=factor)
+                probs = klr_predict(model, data.features[val])
+                picked = probs[np.arange(val.sum()), labels[val] - 1]
+                ce[i, j, fold] = np.mean(-np.log(picked))
+    table = [(c, g, float(np.mean(ce[i, j])))
+             for i, c in enumerate(cv_grid.c_values) for j, g in enumerate(cv_grid.g_values)]
 
     best = min(table, key=lambda row: (row[2], row[0], row[1]))
     c_star, g_star = best[0], best[1]

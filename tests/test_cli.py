@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import cpmkm
-from cpmkm import cli
+from cpmkm import cli, klr
 from cpmkm.cli import main
 from cpmkm.shiftlab import gaussian_mixture_pool
 
@@ -167,6 +167,20 @@ def test_usage_error_exits_2(tmp_path):
     res = run("adapt", "--target", tmp_path / "t.csv")
     assert res.exit_code == 2
     assert "--source" in res.output
+
+
+@pytest.mark.parametrize("c_grid, g_grid", [("nan", "1"), ("1,inf", "1"), ("1", "0.5,-inf")],
+                         ids=["c-nan", "c-inf", "g-minus-inf"])
+def test_nonfinite_grid_rejected_before_any_fit(scenario, monkeypatch, c_grid, g_grid):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("klr_fit called")
+
+    monkeypatch.setattr(klr, "klr_fit", no_fit)
+    res = run("adapt", "--source", scenario["source_path"],
+              "--target", scenario["target_path"], "--c-grid", c_grid,
+              "--g-grid", g_grid, "--folds", "3")
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert res.stderr == "error: grid values must be positive and finite\n"
 
 
 def test_numerical_failure_exits_2(scenario, monkeypatch):

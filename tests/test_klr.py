@@ -6,11 +6,11 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
 from cpmkm import klr
-from cpmkm.data import Dataset
+from cpmkm.data import Dataset, shuffled_class_indices
 from cpmkm.kernel import GramMatrix, KernelParams, gram
 from cpmkm.klr import (PREDICT_BLOCK, CvGrid, CvSelection, KlrModel, _scores, cv_select,
                        klr_fit, klr_gradient, klr_objective, klr_predict,
-                       softmax_scores, truncate_simplex)
+                       pivoted_factor, softmax_scores, truncate_simplex)
 from cpmkm.shiftlab import gaussian_mixture_pool, sample_source
 
 
@@ -265,6 +265,37 @@ def test_fit_deterministic():
     assert np.array_equal(m1.alpha, m2.alpha)
 
 
+def class_draw(m, duplicated, n=15, seed=12):
+    """n random points in d=2, every one of m classes present; with
+    `duplicated` every row twice, so the Gram has rank at most n."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 2))
+    labels = np.r_[np.arange(1, m + 1), rng.integers(1, m + 1, n - m)]
+    if duplicated:
+        x, labels = np.r_[x, x], np.r_[labels, labels]
+    return Dataset(features=x, labels=labels, num_classes=m)
+
+
+@pytest.mark.parametrize("duplicated", [False, True], ids=["full-rank", "duplicate-points"])
+@pytest.mark.parametrize("m", [2, 3])
+def test_fit_on_given_factor_bit_equal(m, duplicated):
+    data = class_draw(m, duplicated)
+    kernel = KernelParams(0.5)
+    chol, perm = pivoted_factor(data.features, kernel)
+    k = gram(data.features, data.features, kernel).values
+    np.testing.assert_allclose(chol @ chol.T, k[perm][:, perm], rtol=0, atol=1e-12)
+    assert (chol.shape[1] < len(data.labels)) is duplicated
+    given = klr_fit(data, kernel, 0.01, 1e-8, factor=(chol, perm))
+    assert np.array_equal(given.alpha, klr_fit(data, kernel, 0.01, 1e-8).alpha)
+
+
+def test_fit_rejects_factor_of_other_rows():
+    data = class_draw(2, False)
+    factor = pivoted_factor(data.features[:-1], KernelParams(0.5))
+    with pytest.raises(ValueError, match="factor has 14 rows, data has 15"):
+        klr_fit(data, KernelParams(0.5), 0.01, 1e-8, factor=factor)
+
+
 # --------------------------------------------------------------- predict
 
 def test_predict_zero_alpha_uniform():
@@ -374,6 +405,55 @@ def test_cv_pick_reported_on_boundary():
     sel = cv_select(data, CvGrid(c_values=(1e-6, 1.0), g_values=(1.0,), folds=5), seed=2)
     assert sel.c == 1.0 and sel.lam == 1.0 / len(data)
     assert sel.on_boundary
+
+
+def per_cell_cv_select(data, cv_grid, seed):
+    """cv_select as one klr_fit per (C, g, fold) cell, each fit building its
+    own factor; the fold CEs are kept per grid row, so duplicated grid values
+    stay separate rows."""
+    labels = data.labels
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    assignment = np.empty(len(labels), dtype=int)
+    for idx in shuffled_class_indices(labels, rng):
+        assignment[idx] = np.arange(len(idx)) % cv_grid.folds
+    table = []
+    for c, g in [(c, g) for c in cv_grid.c_values for g in cv_grid.g_values]:
+        fold_ce = []
+        for fold in range(cv_grid.folds):
+            val = assignment == fold
+            tr = ~val
+            sub = Dataset(features=data.features[tr], labels=labels[tr],
+                          num_classes=data.num_classes)
+            model = klr_fit(sub, KernelParams(g), 1.0 / (c * tr.sum()), cv_grid.trunc_t)
+            probs = klr_predict(model, data.features[val])
+            fold_ce.append(float(np.mean(-np.log(probs[np.arange(val.sum()),
+                                                       labels[val] - 1]))))
+        table.append((c, g, float(np.mean(fold_ce))))
+    c_star, g_star, _ = min(table, key=lambda row: (row[2], row[0], row[1]))
+    model = klr_fit(data, KernelParams(g_star), 1.0 / (c_star * len(labels)),
+                    cv_grid.trunc_t)
+    return tuple(table), c_star, g_star, model
+
+
+def cluster_draw(m, seed):
+    """Six points around each of m centres in d=2, the first ten rows repeated."""
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(1, m + 1), 6)
+    x = 1.5 * rng.standard_normal((m, 2))[labels - 1] + rng.standard_normal((6 * m, 2))
+    return Dataset(features=np.r_[x, x[:10]], labels=np.r_[labels, labels[:10]],
+                   num_classes=m)
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_cv_matches_per_cell_fits(m):
+    data = cluster_draw(m, seed=m)
+    # unsorted axes with repeated values: the table keeps the grid's own rows
+    grid = CvGrid(c_values=(1.0, 1e-3, 1.0, 1e-6), g_values=(1.0, 0.125, 1.0), folds=3)
+    table, c_star, g_star, model = per_cell_cv_select(data, grid, seed=7)
+    sel = cv_select(data, grid, seed=7)
+    assert sel.table == table
+    assert (sel.c, sel.kernel.gamma_sq_inv) == (c_star, g_star)
+    assert np.array_equal(sel.model.alpha, model.alpha)
 
 
 def test_cv_empty_validation_fold_rejected():

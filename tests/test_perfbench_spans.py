@@ -70,3 +70,37 @@ def test_tracer_installs_runs_and_restores(spans):
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
     assert cli_callbacks() == callbacks
+
+
+def test_cv_select_spans_match_benchmark_self_check(spans, monkeypatch):
+    # the benchmark's traced runs expect one klr_fit and one klr_predict span
+    # per (C, g, fold) cell, plus the refit
+    self_grams = []
+    gram_hook = spans.HOOKS["kernel.gram"]
+
+    def count_self_grams(tracer, args, kwargs, result):
+        self_grams.append(args[0] is args[1])
+        gram_hook(tracer, args, kwargs, result)
+
+    monkeypatch.setitem(spans.HOOKS, "kernel.gram", count_self_grams)
+    from cpmkm.klr import CvGrid
+
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((24, 2))
+    labels = np.repeat([1, 2, 3], 8)
+    grid = CvGrid(c_values=(1e-3, 1.0), g_values=(0.25, 0.5, 1.0), folds=3)
+    tracer = spans.Tracer()
+    restore = spans.install(tracer)
+    try:
+        from cpmkm import klr
+
+        klr.cv_select(Dataset(features=x, labels=labels, num_classes=3), grid, seed=0)
+    finally:
+        restore()
+    calls = {name: len(s["dur"]) for name, s in tracer.by_name().items()}
+    cells = 2 * 3 * 3
+    assert calls["klr.cv_select"] == 1
+    assert calls["klr.klr_fit"] == cells + 1
+    assert calls["klr.klr_predict"] == cells
+    # one factored training Gram per (g, fold), and the refit's
+    assert sum(self_grams) == 3 * 3 + 1
