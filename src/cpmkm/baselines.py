@@ -15,6 +15,9 @@ import numpy as np
 
 from .klr import KlrModel, check_simplex, klr_predict
 
+EM_TOL = 1e-8        # mlls_em stops once an EM map moves q by at most this in L1
+EM_MAX_ITER = 10000  # mlls_em's cap on EM maps
+
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
@@ -91,8 +94,7 @@ def _mean_log_lik(ratio: np.ndarray, q: np.ndarray):
     return np.log(q @ ratio).sum() / ratio.shape[1]
 
 
-def mlls_em(target_probs, source_priors, tol: float = 1e-8,
-            max_iter: int = 10000) -> np.ndarray:
+def mlls_em(target_probs, source_priors) -> np.ndarray:
     """EM on the target class priors; returns the ratio w_m = q(m)/p(m).
 
     The EM map q(m) <- mean_i of the posterior responsibility
@@ -105,7 +107,7 @@ def mlls_em(target_probs, source_priors, tol: float = 1e-8,
     toward s = -1, where the point is q2, so extrapolation also reaches a
     maximum on the simplex boundary.  One EM map follows.  The target
     log-likelihood stays non-decreasing.  EM stops once a map moves q by at
-    most tol in L1; max_iter counts EM maps, and stopping there issues a
+    most EM_TOL in L1; EM_MAX_ITER counts EM maps, and stopping there issues a
     RuntimeWarning.
     """
     probs = np.atleast_2d(np.asarray(target_probs, dtype=float))
@@ -118,21 +120,21 @@ def mlls_em(target_probs, source_priors, tol: float = 1e-8,
     steps = 0
 
     def em_step(q):
-        """One counted EM map and whether it moved q by at most tol."""
+        """One counted EM map and whether it moved q by at most EM_TOL."""
         nonlocal steps
         steps += 1
         q_next = _em_map(ratio, q)
-        return q_next, np.abs(q_next - q).sum() <= tol
+        return q_next, np.abs(q_next - q).sum() <= EM_TOL
 
     q, done = priors.copy(), False
-    while not done and steps < max_iter:
+    while not done and steps < EM_MAX_ITER:
         q0 = q
         q1, done = em_step(q0)
         q = q1
-        if done or steps == max_iter:
+        if done or steps == EM_MAX_ITER:
             break
         q, done = em_step(q1)
-        if done or steps == max_iter:
+        if done or steps == EM_MAX_ITER:
             break
         r = q1 - q0
         v = q - q1 - r
@@ -148,7 +150,7 @@ def mlls_em(target_probs, source_priors, tol: float = 1e-8,
         q, done = em_step(q)  # the stabilising map
     if not done:
         warnings.warn(f"mlls_em did not converge in {steps} EM steps "
-                      f"(tol {tol})", RuntimeWarning, stacklevel=2)
+                      f"(tol {EM_TOL})", RuntimeWarning, stacklevel=2)
     return q / priors
 
 

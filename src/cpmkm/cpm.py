@@ -19,7 +19,6 @@ MAX_ITER = 1000  # projected Newton iteration cap of cpm_solve
 ARMIJO = 1e-4    # sufficient-decrease fraction of cpm_solve's line search
 T_MIN = 2.0 ** -40  # shortest step along the projection arc
 ANGLE = 1e-8     # least cosine between a Newton step and -g
-EPS_ACTIVE = 1e-3  # largest w_k that cpm_solve's active set can hold
 ROUND = 8 * np.finfo(float).eps  # bound on f's rounding error per |r| (|p_hat| + |mean a|)
 
 
@@ -68,33 +67,40 @@ def reweighted_target_probs(problem: MatchProblem, w) -> np.ndarray:
     return (problem.target_probs / s[:, None]).mean(axis=0)
 
 
-def _loss_and_grad(w: np.ndarray, p_hat: np.ndarray,
-                   tt: np.ndarray) -> tuple[float, np.ndarray]:
-    """Squared mismatch and its gradient on class-major posteriors tt (M, n_q).
-
-    With a[y, i] = p(y|X_i) / s_i the reweighted means are a.sum(1) / n_q, and
-    J = a a' / n_q is minus their Jacobian in w, so the gradient is
-    2 J diff = (2 / n_q) a (diff' a).  Reductions run along contiguous rows.
-    """
-    n = tt.shape[1]
-    a = tt / np.maximum(w @ tt, FLOOR_S)
-    diff = p_hat - a.sum(axis=1) / n
-    return float(diff @ diff), (2.0 / n) * (a @ (diff @ a))
-
-
 def _class_major(problem: MatchProblem) -> np.ndarray:
-    """The (M, n_q) contiguous copy of the posteriors that _loss_and_grad takes."""
+    """The (M, n_q) contiguous copy of the posteriors that _state takes."""
     return np.ascontiguousarray(problem.target_probs.T)
 
 
+def _state(w: np.ndarray, p_hat: np.ndarray, tt: np.ndarray):
+    """The objective at w on class-major posteriors tt (M, n_q): a 2M-row buffer
+    with a = tt / (w'tt) on top, the residual r = p_hat - a.sum(1) / n_q, f = |r|^2."""
+    m, n = tt.shape
+    buf = np.empty((2 * m, n))
+    a = np.divide(tt, np.maximum(w @ tt, FLOOR_S), out=buf[:m])
+    r = p_hat - a.sum(axis=1) / n
+    return buf, r, float(r @ r)
+
+
+def _products(buf: np.ndarray, r: np.ndarray):
+    """One stacked product over a _state buffer gives J = a a' / n_q (minus the
+    residual's Jacobian in w), curv = (a (r'a)) a' / n_q and the gradient 2 J r."""
+    m = len(r)
+    a = buf[:m]
+    np.multiply(a, r @ a, out=buf[m:])
+    parts = buf @ a.T / buf.shape[1]
+    return parts[:m], parts[m:], 2.0 * parts[:m] @ r
+
+
 def cpm_objective(problem: MatchProblem, w) -> float:
-    return _loss_and_grad(_check_w(w, problem.num_classes), problem.p_hat,
-                          _class_major(problem))[0]
+    return _state(_check_w(w, problem.num_classes), problem.p_hat,
+                  _class_major(problem))[2]
 
 
 def cpm_gradient(problem: MatchProblem, w) -> np.ndarray:
-    return _loss_and_grad(_check_w(w, problem.num_classes), problem.p_hat,
-                          _class_major(problem))[1]
+    buf, r, _ = _state(_check_w(w, problem.num_classes), problem.p_hat,
+                       _class_major(problem))
+    return _products(buf, r)[2]
 
 
 def _newton_step(jac: np.ndarray, curv: np.ndarray, r: np.ndarray, g: np.ndarray,
@@ -126,25 +132,18 @@ def _newton_step(jac: np.ndarray, curv: np.ndarray, r: np.ndarray, g: np.ndarray
 def cpm_solve(problem: MatchProblem) -> np.ndarray:
     """Minimize the matching objective over w >= 0 by projected Newton from w0 = 1.
 
-    Each iteration frees the coordinates that are not epsilon-active, takes
-    the Newton direction on them (Bertsekas 1982), and backtracks along the
-    projection arc max(w + t d, 0) until the Armijo condition holds up to the
-    objective's rounding error.  It stops when no free direction descends (the
-    KKT conditions hold to round-off), or after a full step whose projected
+    Each iteration frees every coordinate that is positive or that the
+    gradient does not push below zero, takes the Newton direction on them
+    (Bertsekas 1982), and backtracks along the projection arc
+    max(w + t d, 0) until the Armijo condition holds up to the objective's
+    rounding error.  It stops when no free direction descends (the KKT
+    conditions hold to round-off), or after a full step whose projected
     Newton decrement -g'd, the decrease its model predicts, was below that
     rounding error: near the minimum that step leaves w off by the square of
     its length.  Falls back to w0 when the solve ends at a higher objective
     than it began.
     """
     p_hat, tt = problem.p_hat, _class_major(problem)
-    m, n = tt.shape
-
-    def state(w):
-        """A 2M-row buffer holding a on top, the residual r and f = |r|^2."""
-        buf = np.empty((2 * m, n))
-        a = np.divide(tt, np.maximum(w @ tt, FLOOR_S), out=buf[:m])
-        r = p_hat - a.sum(axis=1) / n
-        return buf, r, float(r @ r)
 
     def arc_search(w, f, d, slope, slack):
         """The first w_t = max(w + t d, 0), t = 1, 1/2, ..., down to T_MIN,
@@ -152,28 +151,20 @@ def cpm_solve(problem: MatchProblem) -> np.ndarray:
         t = 1.0
         while t >= T_MIN:
             w_t = np.maximum(w + t * d, 0.0)
-            s_t = state(w_t)
+            s_t = _state(w_t, p_hat, tt)
             if s_t[2] <= f + ARMIJO * t * slope + slack:
                 return w_t, s_t, t
             t *= 0.5
         return None
 
-    w0 = np.ones(m)
+    w0 = np.ones(len(p_hat))
     w = w0
-    buf, r, f = state(w)
+    buf, r, f = _state(w, p_hat, tt)
     f0 = f
     for _ in range(MAX_ITER):
-        # one stacked product gives J = a a' / n_q over the curvature term
-        a = buf[:m]
-        np.multiply(a, r @ a, out=buf[m:])
-        parts = buf @ a.T / n
-        jac = parts[:m]
-        g = 2.0 * jac @ r
-        # Bertsekas's epsilon-active set: a coordinate within eps of zero that
-        # the gradient pushes down is sent to zero (exactly, at t = 1)
-        pg = w - np.maximum(w - g, 0.0)
-        free = (w > min(EPS_ACTIVE, math.sqrt(pg @ pg))) | (g <= 0)
-        d = np.where(free, _newton_step(jac, parts[m:], r, g, free), -w)
+        jac, curv, g = _products(buf, r)
+        free = (w > 0) | (g <= 0)
+        d = _newton_step(jac, curv, r, g, free)
         slope = g @ d
         if not slope < 0:
             break  # no free direction descends: the KKT conditions hold
@@ -182,7 +173,7 @@ def cpm_solve(problem: MatchProblem) -> np.ndarray:
         if step is None:
             # the step overshoots its model everywhere along the arc, as on
             # near-singular problems: a projected-gradient step instead
-            d = np.where(free, -g, -w)
+            d = np.where(free, -g, 0.0)
             slope = g @ d
             step = arc_search(w, f, d, slope, slack)
             if step is None:

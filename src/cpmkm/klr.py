@@ -22,11 +22,12 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpstrf
 from scipy.optimize import minimize
 
-from .data import Dataset, shuffled_class_indices
+from .data import shuffled_class_indices
 from .kernel import GramMatrix, KernelParams, gram
 
 MODEL_FORMAT_VERSION = 1
 GTOL = 1e-6  # klr_fit's L-BFGS bound on the factor-coefficient gradient
+MAX_ITER = 500  # klr_fit's L-BFGS iteration cap
 PREDICT_BLOCK = 2 ** 17  # Gram entries per klr_predict block, 1 MB of doubles
 
 
@@ -230,7 +231,7 @@ def pivoted_factor(x, kernel: KernelParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def klr_fit(data, kernel: KernelParams, lam: float, trunc_t: float,
-            max_iter: int = 500, factor=None) -> KlrModel:
+            factor=None) -> KlrModel:
     """Fit KLR by L-BFGS on the pivoted Cholesky factor of the Gram.
 
     The factor K[p][:, p] = L L' (L of rank r <= n) is pivoted_factor's, or
@@ -266,7 +267,7 @@ def klr_fit(data, kernel: KernelParams, lam: float, trunc_t: float,
         return lam * float(np.sum(beta * beta)) + ce, grad.ravel()
 
     res = minimize(fun, np.zeros(rank * (m - 1)), jac=True, method="L-BFGS-B",
-                   options={"maxiter": max_iter, "gtol": GTOL, "ftol": 1e-15})
+                   options={"maxiter": MAX_ITER, "gtol": GTOL, "ftol": 1e-15})
     if not res.success:
         warnings.warn(f"klr_fit did not converge (L-BFGS status {res.status}: "
                       f"{res.message})", RuntimeWarning, stacklevel=2)
@@ -329,8 +330,7 @@ def cv_select(data, cv_grid: CvGrid, seed: int) -> CvSelection:
         for fold in range(cv_grid.folds):
             val = assignment == fold
             tr = ~val
-            sub = Dataset(features=data.features[tr], labels=labels[tr],
-                          num_classes=data.num_classes)
+            sub = data.subset(tr)
             factor = pivoted_factor(sub.features, kernel)
             for i, c in enumerate(cv_grid.c_values):
                 lam = 1.0 / (c * tr.sum())

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cpmkm import baselines
 from cpmkm.baselines import (ConfusionMatrix, bbse_solve, confusion_estimate,
                              mlls_em, mlls_log_likelihood, rlls_solve)
 from cpmkm.data import Dataset
@@ -180,24 +181,26 @@ def plain_em(probs, priors, steps, q=None):
 
 
 @pytest.mark.parametrize("m", [2, 5])
-def test_mlls_matches_long_plain_em(m):
+def test_mlls_matches_long_plain_em(m, monkeypatch):
     rng = np.random.default_rng(11 + m)
     probs = rng.random((5, 80, m)) + 1e-3
     probs /= probs.sum(axis=2, keepdims=True)
     priors = rng.random((5, m)) + 1e-3
     priors /= priors.sum(axis=1, keepdims=True)
     refs = plain_em(probs, priors, 50_000)
+    monkeypatch.setattr(baselines, "EM_TOL", 1e-12)
     for p, pri, ref in zip(probs, priors, refs):
-        q = mlls_em(p, pri, tol=1e-12) * pri
+        q = mlls_em(p, pri) * pri
         # EM fixed point: one more map moves q by no more than the tolerance
         assert np.abs(plain_em(p, pri, 1, q) - q).sum() <= 1e-12
         assert mlls_log_likelihood(p, pri, q) >= mlls_log_likelihood(p, pri, ref) - 1e-12
 
 
-def test_mlls_cap_warns():
+def test_mlls_cap_warns(monkeypatch):
     rows = np.array([[0.9, 0.1], [0.2, 0.8]] * 10)
+    monkeypatch.setattr(baselines, "EM_MAX_ITER", 3)
     with pytest.warns(RuntimeWarning, match="did not converge in 3 EM steps"):
-        mlls_em(rows, np.array([0.5, 0.5]), max_iter=3)
+        mlls_em(rows, np.array([0.5, 0.5]))
 
 
 def boundary_case():
@@ -230,14 +233,15 @@ def test_mlls_boundary_maximum_converges():
     assert np.abs(q[:2] - q12).max() <= 1e-3
 
 
-def test_mlls_boundary_maximum_one_dimensional():
+def test_mlls_boundary_maximum_one_dimensional(monkeypatch):
     # identical rows favour class 1, so the likelihood peaks at q = (1, 0);
     # SQUAREM's extrapolation overshoots q2 = 0 and must backtrack, where
     # plain EM creeps toward the boundary for some 12 000 maps
     rows = np.tile(np.array([0.5, 0.4995]) / 0.9995, (10, 1))
+    monkeypatch.setattr(baselines, "EM_MAX_ITER", 100)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        w = mlls_em(rows, np.array([0.5, 0.5]), max_iter=100)
+        w = mlls_em(rows, np.array([0.5, 0.5]))
     assert w == pytest.approx([2.0, 0.0], abs=1e-4)
 
 

@@ -277,6 +277,7 @@ BAD_INPUTS = {
     "list.json": "[0.5, 0.5]",
     "report.json": '{"spec": {"n_q": 80}, "aggregate": [1]}',
     "pool34.csv": "x0,label\n0.1,3\n0.2,3\n0.3,4\n0.4,4\n",
+    "target2.csv": "x0,x1\n0.1,0.2\n0.3,0.4\n",
 }
 
 
@@ -294,13 +295,22 @@ BAD_INPUTS = {
       "--q-hat", "qh.json", "--q-true", "no_key.json"], "no_key.json: not a q_true"),
     (["evaluate", "--predictions", "pred.csv", "--truth", "pred.csv",
       "--q-hat", "list.json", "--q-true", "qh.json"], "list.json: not a q_hat"),
+    (["evaluate", "--predictions", "pred.csv", "--truth", "pred.csv",
+      "--q-hat", "qh.json"], "--q-hat requires --q-true"),
+    (["adapt", "--source", "POOL", "--target", "target2.csv", "--folds", "1"],
+     "folds must be >= 2"),
+    (["benchmark", "--pool", "POOL", "--config", "missing.json"],
+     "cannot read config missing.json"),
+    (["benchmark", "--pool", "POOL", "--config", "list.json"],
+     "config list.json must be a JSON object"),
     (["plot-data", "--reports", "report.json"], "report.json: not a benchmark"),
     # the pool's classes are labelled 3 and 4: errors name them so
     (["simulate", "--pool", "pool34.csv", "--np", "2", "--nq", "1", "--nt", "1"],
      "pool exhausted for class 4:"),
 ], ids=["adapt-label", "benchmark-label", "benchmark-no-method", "benchmark-mq-0",
         "simulate-mq-0", "simulate-missing", "evaluate-label", "evaluate-two-columns",
-        "evaluate-no-key", "evaluate-list", "plot-data-aggregate-list",
+        "evaluate-no-key", "evaluate-list", "evaluate-q-hat-only", "adapt-folds-1",
+        "config-missing", "config-list", "plot-data-aggregate-list",
         "simulate-class-value"])
 def test_malformed_input_exits_1(pool_csv, tmp_path, monkeypatch, args, fragment):
     monkeypatch.chdir(tmp_path)  # inputs, and default output paths, in tmp_path
@@ -309,6 +319,7 @@ def test_malformed_input_exits_1(pool_csv, tmp_path, monkeypatch, args, fragment
     res = run(*(pool_csv if a == "POOL" else a for a in args))
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
     assert len(res.stderr.splitlines()) == 1
     assert res.stderr.startswith("error: ") and fragment in res.stderr
 
@@ -339,13 +350,18 @@ def test_plot_data_bad_report(tmp_path, text):
 
 
 def test_selftest_passes():
+    from cpmkm.selftest import CHECKS
+
     r1 = run("selftest")
     r2 = run("selftest")
     assert r1.exit_code == 0
+    assert r1.output.splitlines() == [f"{name}: PASS" for name, _ in CHECKS]
     assert r1.output == r2.output
 
 
-def test_selftest_injected_fault():
-    res = run("selftest", "--inject-fault", "truncation")
+def test_selftest_injected_fault(monkeypatch):
+    # floored without renormalizing: off the simplex
+    monkeypatch.setattr(klr, "truncate_simplex", lambda p, t: np.maximum(p, t))
+    res = run("selftest")
     assert res.exit_code == 3
-    assert "FAIL" in res.output
+    assert "truncation: FAIL" in res.output.splitlines()

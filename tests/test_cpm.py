@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize
 
-from cpmkm import cpm
+from cpmkm import baselines
 from cpmkm.baselines import mlls_em
 from cpmkm.cpm import (MatchProblem, cpm_gradient, cpm_objective, cpm_solve,
                        empirical_class_probs, reweighted_target_probs)
@@ -191,9 +191,10 @@ def test_solve_minimizes_the_views():
 
 
 def lbfgsb_objective(problem, w0):
-    """Reference: the objective L-BFGS-B reaches from w0 on w >= 0."""
+    """Reference: the objective L-BFGS-B reaches from w0 on w >= 0, run on the
+    cpm_objective / cpm_gradient views."""
     m = problem.num_classes
-    res = minimize(cpm._loss_and_grad, w0, args=(problem.p_hat, cpm._class_major(problem)),
+    res = minimize(lambda w: (cpm_objective(problem, w), cpm_gradient(problem, w)), w0,
                    jac=True, method="L-BFGS-B", bounds=[(0.0, None)] * m,
                    options={"maxiter": 1000, "gtol": 1e-8, "ftol": 1e-12})
     return res.fun
@@ -295,13 +296,14 @@ def mixture_draw(q, seed, shrink=0.0, n=2000):
 UNIFORM = np.full(3, 1 / 3)
 
 
-def test_cpm_matches_mlls_on_an_interior_draw():
+def test_cpm_matches_mlls_on_an_interior_draw(monkeypatch):
     # An MLLS fixed point with every q_m > 0 satisfies p(m) = mean_i a_im(w),
     # CPM's zero-residual equation for p_hat = the source priors
     probs = mixture_draw([0.5, 0.3, 0.2], seed=0)
     w = cpm_solve(MatchProblem(p_hat=UNIFORM, target_probs=probs))
     assert np.all(w > 0)
-    np.testing.assert_allclose(w, mlls_em(probs, UNIFORM, tol=1e-12), rtol=0, atol=1e-10)
+    monkeypatch.setattr(baselines, "EM_TOL", 1e-12)
+    np.testing.assert_allclose(w, mlls_em(probs, UNIFORM), rtol=0, atol=1e-10)
 
 
 def test_cpm_differs_from_mlls_on_a_boundary_draw():

@@ -221,10 +221,11 @@ def test_fit_gradient_near_zero_at_optimum(draw, lam):
     assert np.array_equal(probs, probs[first][inverse.ravel()])
 
 
-def test_fit_unconverged_warns():
+def test_fit_unconverged_warns(monkeypatch):
     data = small_draw()
+    monkeypatch.setattr(klr, "MAX_ITER", 1)
     with pytest.warns(RuntimeWarning, match="L-BFGS status 1"):
-        klr_fit(data, KernelParams(1.0), 0.01, 1e-8, max_iter=1)
+        klr_fit(data, KernelParams(1.0), 0.01, 1e-8)
 
 
 def test_fit_heavy_regularization():
