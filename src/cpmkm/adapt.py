@@ -6,8 +6,7 @@ class probability ratio, and the plug-in classifier is its argmax.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,29 +22,26 @@ class AdaptedModel:
     source_model: KlrModel
     weights: np.ndarray        # (M,) estimated q(y)/p(y)
     source_priors: np.ndarray  # (M,) empirical source class frequencies
-    # the CV search that picked source_model; None when read from JSON
-    selection: CvSelection | None = field(default=None, repr=False)
 
     def __post_init__(self):
         m = self.source_model.num_classes
         if len(self.weights) != m or len(self.source_priors) != m:
             raise ValueError("weights/source_priors length must equal the class count")
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_dict(self) -> dict:
+        return {
             "format_version": ADAPTED_FORMAT_VERSION,
-            "source_model": json.loads(self.source_model.to_json()),
+            "source_model": self.source_model.to_dict(),
             "weights": np.asarray(self.weights).tolist(),
             "source_priors": np.asarray(self.source_priors).tolist(),
-        })
+        }
 
     @classmethod
-    def from_json(cls, text: str) -> "AdaptedModel":
-        doc = json.loads(text)
+    def from_dict(cls, doc: dict) -> "AdaptedModel":
         if doc.get("format_version") != ADAPTED_FORMAT_VERSION:
             raise ValueError(f"unsupported format version {doc.get('format_version')}")
         return cls(
-            source_model=KlrModel.from_json(json.dumps(doc["source_model"])),
+            source_model=KlrModel.from_dict(doc["source_model"]),
             weights=np.array(doc["weights"], dtype=float),
             source_priors=np.array(doc["source_priors"], dtype=float),
         )
@@ -62,11 +58,12 @@ def reweight_posterior(p_row, w) -> np.ndarray:
     return num / den
 
 
-def adapt_pipeline(source: Dataset, target_unlabeled, cv_grid: CvGrid | None = None,
-                   seed: int = 0) -> AdaptedModel:
-    """Full adaptation: source priors, CV-fitted KLR, CPM weights."""
-    if cv_grid is None:
-        cv_grid = CvGrid()
+def adapt_pipeline(source: Dataset, target_unlabeled, cv_grid: CvGrid,
+                   seed: int) -> tuple[AdaptedModel, CvSelection]:
+    """Full adaptation: source priors, CV-fitted KLR, CPM weights.
+
+    Returns the adapted model and the CV search that picked its source model.
+    """
     target_unlabeled = np.atleast_2d(np.asarray(target_unlabeled, dtype=float))
     if target_unlabeled.shape[0] < 1:
         raise ValueError("target set must be non-empty")
@@ -77,7 +74,7 @@ def adapt_pipeline(source: Dataset, target_unlabeled, cv_grid: CvGrid | None = N
     target_probs = klr_predict(selection.model, target_unlabeled)
     w = cpm_solve(MatchProblem(p_hat=priors, target_probs=target_probs))
     return AdaptedModel(source_model=selection.model, weights=w,
-                        source_priors=priors, selection=selection)
+                        source_priors=priors), selection
 
 
 def predict_target(model: AdaptedModel, points):
@@ -88,9 +85,9 @@ def predict_target(model: AdaptedModel, points):
     return q, labels
 
 
-def target_class_probs(model: AdaptedModel) -> np.ndarray:
+def target_class_probs(weights, source_priors) -> np.ndarray:
     """Normalized w(y) p(y): the estimate of the target class probability q(y)."""
-    num = np.asarray(model.weights) * np.asarray(model.source_priors)
+    num = np.asarray(weights) * np.asarray(source_priors)
     den = num.sum()
     if den <= 0:
         raise ValueError("zero denominator in target class probability")

@@ -17,6 +17,7 @@ from .klr import KlrModel, check_simplex, klr_predict
 
 EM_TOL = 1e-8        # mlls_em stops once an EM map moves q by at most this in L1
 EM_MAX_ITER = 10000  # mlls_em's cap on EM maps
+RLLS_REG = 1e-3      # rlls_solve's ridge, as a multiple of trace(C) / M
 
 
 @dataclass(frozen=True)
@@ -60,16 +61,12 @@ def bbse_solve(confusion: ConfusionMatrix, target_pred_dist) -> np.ndarray:
     return np.maximum(w, 0.0)
 
 
-def rlls_solve(confusion: ConfusionMatrix, target_pred_dist,
-               reg: float | None = None) -> np.ndarray:
+def rlls_solve(confusion: ConfusionMatrix, target_pred_dist) -> np.ndarray:
     """Ridge-regularized solve of C (1 + theta) = mu, shrinking toward w = 1."""
     c = confusion.values
     m = c.shape[0]
     mu = np.asarray(target_pred_dist, dtype=float)
-    if reg is None:
-        reg = 1e-3 * np.trace(c) / m
-    if reg < 0:
-        raise ValueError("regularization must be nonnegative")
+    reg = RLLS_REG * np.trace(c) / m
     b = mu - c @ np.ones(m)
     theta = np.linalg.solve(c.T @ c + reg * np.eye(m), c.T @ b)
     return np.maximum(1.0 + theta, 0.0)

@@ -165,16 +165,15 @@ def cmd_adapt(source_path, target_path, label_column, standardize, seed, out_pat
                          f"source has {source.dim}")
     target_x = rescale(target_x)
     grid = _parse_grid(c_grid, g_grid, folds, trunc_t)
-    model = adapt_pipeline(source, target_x, grid, seed)
-    cv = model.selection
+    model, cv = adapt_pipeline(source, target_x, grid, seed)
     if cv.on_boundary:
         click.echo(f"warning: CV picked C*={cv.c:g}, g*={cv.kernel.gamma_sq_inv:g} "
                    "on the grid edge; the optimum may lie outside the grid", err=True)
     _, labels = predict_target(model, target_x)
-    q_y = target_class_probs(model)
+    q_y = target_class_probs(model.weights, model.source_priors)
     _write_json(out_path, {
         "schema_version": SCHEMA_VERSION,
-        "adapted_model": json.loads(model.to_json()),
+        "adapted_model": model.to_dict(),
         "w_hat": list(model.weights),
         "q_hat": list(q_y),
         "cv_table": [list(row) for row in cv.table],
@@ -246,12 +245,14 @@ def cmd_simulate(pool_path, label_column, alpha, mq, n_p, n_q, n_t, seed, out_di
 @click.option("--q-hat", default=None, type=click.Path(),
               help="JSON with a q_hat array (optional, for MSE).")
 @click.option("--q-true", default=None, type=click.Path(),
-              help="JSON with a q_true array (required with --q-hat).")
+              help="JSON with a q_true array (required with --q-hat, and only valid with it).")
 @_exit_codes()
 def cmd_evaluate(predictions, truth, q_hat, q_true):
     """Compute ACC (and MSE, if class probability files are given)."""
     if q_hat and not q_true:
         raise ValueError("--q-hat requires --q-true")
+    if q_true and not q_hat:
+        raise ValueError("--q-true requires --q-hat")
     lines = [f"ACC: {metric_acc(load_label_csv(predictions), load_label_csv(truth)):.6f}"]
     if q_hat:
         qh = _read_json(q_hat, "a q_hat report", lambda d: np.asarray(d["q_hat"], float))

@@ -13,7 +13,6 @@ selected by stratified k-fold cross-validation on the truncated CE loss.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -66,8 +65,8 @@ class KlrModel:
         h.update(str(self.num_classes).encode())
         return h.hexdigest()[:16]
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "format_version": MODEL_FORMAT_VERSION,
             "num_classes": self.num_classes,
             "dim": int(self.support.shape[1]),
@@ -78,11 +77,9 @@ class KlrModel:
             "support": self.support.ravel().tolist(),
             "alpha": self.alpha.ravel().tolist(),
         }
-        return json.dumps(doc)
 
     @classmethod
-    def from_json(cls, text: str) -> "KlrModel":
-        doc = json.loads(text)
+    def from_dict(cls, doc: dict) -> "KlrModel":
         if doc.get("format_version") != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format version {doc.get('format_version')}")
         n, d, m = doc["n_support"], doc["dim"], doc["num_classes"]

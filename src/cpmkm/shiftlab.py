@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .adapt import reweight_posterior
+from .adapt import reweight_posterior, target_class_probs
 from .baselines import bbse_solve, confusion_estimate, mlls_em, rlls_solve
 from .cpm import MatchProblem, cpm_solve, empirical_class_probs
 from .data import Dataset, shuffled_class_indices
@@ -171,11 +171,11 @@ def _stratified_split(labels: np.ndarray, frac: float, rng: np.random.Generator)
     return ~held, held
 
 
-def estimate_weights(method: str, confusion, holdout_free_priors,
+def estimate_weights(method: str, confusion, source_priors,
                      target_probs) -> np.ndarray:
     """Ratio estimate for one method from the shared model's outputs."""
     if method == "cpmkm":
-        return cpm_solve(MatchProblem(p_hat=holdout_free_priors,
+        return cpm_solve(MatchProblem(p_hat=source_priors,
                                       target_probs=target_probs))
     if method in ("bbse", "rlls"):
         pred = np.argmax(target_probs, axis=1)
@@ -183,13 +183,12 @@ def estimate_weights(method: str, confusion, holdout_free_priors,
         solve = bbse_solve if method == "bbse" else rlls_solve
         return solve(confusion, mu)
     if method == "mlls":
-        return mlls_em(target_probs, holdout_free_priors)
+        return mlls_em(target_probs, source_priors)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
-def run_benchmark(pool: Dataset, spec: ShiftSpec, methods=METHODS,
-                  source_reps: int = 10, target_reps: int = 10,
-                  cv_grid: CvGrid | None = None) -> list[EvalReport]:
+def run_benchmark(pool: Dataset, spec: ShiftSpec, methods, source_reps: int,
+                  target_reps: int, cv_grid: CvGrid) -> list[EvalReport]:
     """Repeated-trial protocol: fit once per source draw, resample targets.
 
     Every method in a cell consumes the same fitted model and the same
@@ -199,8 +198,6 @@ def run_benchmark(pool: Dataset, spec: ShiftSpec, methods=METHODS,
     if not methods or not set(methods) <= set(METHODS):
         raise ValueError(f"no method, or an unknown method, in {list(methods)}; "
                          f"expected some of {METHODS}")
-    if cv_grid is None:
-        cv_grid = CvGrid()
     reports = []
     for s in range(source_reps):
         source, used = sample_source(pool, spec.n_p, (spec.seed, s))
@@ -228,8 +225,7 @@ def run_benchmark(pool: Dataset, spec: ShiftSpec, methods=METHODS,
                 w = estimate_weights(name, confusion, priors, target_probs)
                 if not np.any(w > 0):
                     w = np.ones_like(w)
-                q_hat = w * priors
-                q_hat = q_hat / q_hat.sum()
+                q_hat = target_class_probs(w, priors)
                 pred = np.argmax(reweight_posterior(test_probs, w), axis=1) + 1
                 reports.append(EvalReport(
                     method=name,

@@ -116,25 +116,22 @@ def test_bbse_population_exact_recovery():
 
 # ------------------------------------------------------------------ RLLS
 
-def test_rlls_huge_regularization_gives_ones():
+def test_rlls_huge_regularization_gives_ones(monkeypatch):
+    monkeypatch.setattr(baselines, "RLLS_REG", 2e12)  # reg = 1e12 at trace(C)/M = 0.5
     c = ConfusionMatrix(values=np.diag([0.5, 0.5]))
-    assert rlls_solve(c, [0.9, 0.1], reg=1e12) == pytest.approx([1.0, 1.0], abs=1e-9)
+    assert rlls_solve(c, [0.9, 0.1]) == pytest.approx([1.0, 1.0], abs=1e-9)
 
 
-def test_rlls_zero_reg_matches_bbse():
+def test_rlls_zero_reg_matches_bbse(monkeypatch):
+    monkeypatch.setattr(baselines, "RLLS_REG", 0.0)
     c = ConfusionMatrix(values=np.array([[0.45, 0.05], [0.05, 0.45]]))
-    assert rlls_solve(c, [0.6, 0.4], reg=0.0) == pytest.approx(bbse_solve(c, [0.6, 0.4]))
+    assert rlls_solve(c, [0.6, 0.4]) == pytest.approx(bbse_solve(c, [0.6, 0.4]))
 
 
-def test_rlls_diagonal_hand_case():
+def test_rlls_diagonal_hand_case(monkeypatch):
+    monkeypatch.setattr(baselines, "RLLS_REG", 0.0)
     c = ConfusionMatrix(values=np.diag([0.5, 0.5]))
-    assert rlls_solve(c, [0.6, 0.4], reg=0.0) == pytest.approx([1.2, 0.8])
-
-
-def test_rlls_negative_reg_rejected():
-    c = ConfusionMatrix(values=np.diag([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        rlls_solve(c, [0.6, 0.4], reg=-1.0)
+    assert rlls_solve(c, [0.6, 0.4]) == pytest.approx([1.2, 0.8])
 
 
 # ------------------------------------------------------------------ MLLS

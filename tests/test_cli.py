@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 import cpmkm
 from cpmkm import cli, klr
+from cpmkm.adapt import AdaptedModel, predict_target
 from cpmkm.cli import main
 from cpmkm.shiftlab import gaussian_mixture_pool
 
@@ -260,6 +261,32 @@ def test_labels_written_back_in_file_values(pool_csv, tmp_path):
     assert set(json.loads(out.read_text())["target_labels"]) == {5, 9}
 
 
+def test_adapt_two_classes_one_target_row_document(tmp_path):
+    # M = 2 with file labels 3 and 7, and n_q = 1
+    rng = np.random.default_rng(21)
+    labels = np.repeat([3, 7], 20)
+    x = np.where(labels == 3, -1.5, 1.5)[:, None] + 0.5 * rng.standard_normal((40, 2))
+    (tmp_path / "source.csv").write_text("x0,x1,label\n" + "".join(
+        f"{a!r},{b!r},{lab}\n" for (a, b), lab in zip(x.tolist(), labels)))
+    target = np.array([[1.4, 1.6]])
+    (tmp_path / "target.csv").write_text("x0,x1\n1.4,1.6\n")
+    out = tmp_path / "adapted.json"
+    res = run("adapt", "--source", tmp_path / "source.csv",
+              "--target", tmp_path / "target.csv", "--no-standardize",
+              "--out", out, *FAST)
+    assert res.exit_code == 0, res.output
+    doc = json.loads(out.read_text())
+    w = np.array(doc["w_hat"])
+    assert w.shape == (2,) and np.all(np.isfinite(w)) and np.all(w >= 0)
+    q = np.array(doc["q_hat"])
+    assert np.all(q >= 0) and q.sum() == pytest.approx(1.0, abs=1e-12)
+    [label] = doc["target_labels"]
+    assert label in (3, 7)
+    model = AdaptedModel.from_dict(doc["adapted_model"])
+    _, predicted = predict_target(model, target)
+    assert [3, 7][predicted[0] - 1] == label
+
+
 def test_import_cli_skips_selftest():
     code = "import sys, cpmkm.cli; print('cpmkm.selftest' in sys.modules)"
     src = str(Path(cpmkm.__file__).resolve().parents[1])
@@ -297,6 +324,8 @@ BAD_INPUTS = {
       "--q-hat", "list.json", "--q-true", "qh.json"], "list.json: not a q_hat"),
     (["evaluate", "--predictions", "pred.csv", "--truth", "pred.csv",
       "--q-hat", "qh.json"], "--q-hat requires --q-true"),
+    (["evaluate", "--predictions", "pred.csv", "--truth", "pred.csv",
+      "--q-true", "missing.json"], "--q-true requires --q-hat"),
     (["adapt", "--source", "POOL", "--target", "target2.csv", "--folds", "1"],
      "folds must be >= 2"),
     (["benchmark", "--pool", "POOL", "--config", "missing.json"],
@@ -309,7 +338,8 @@ BAD_INPUTS = {
      "pool exhausted for class 4:"),
 ], ids=["adapt-label", "benchmark-label", "benchmark-no-method", "benchmark-mq-0",
         "simulate-mq-0", "simulate-missing", "evaluate-label", "evaluate-two-columns",
-        "evaluate-no-key", "evaluate-list", "evaluate-q-hat-only", "adapt-folds-1",
+        "evaluate-no-key", "evaluate-list", "evaluate-q-hat-only",
+        "evaluate-q-true-only", "adapt-folds-1",
         "config-missing", "config-list", "plot-data-aggregate-list",
         "simulate-class-value"])
 def test_malformed_input_exits_1(pool_csv, tmp_path, monkeypatch, args, fragment):

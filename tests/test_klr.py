@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -481,7 +483,7 @@ def test_model_json_roundtrip():
     labels[:2] = [1, 2]
     model = klr_fit(Dataset(features=x, labels=labels, num_classes=2),
                     KernelParams(0.7), 0.05, 1e-8)
-    back = KlrModel.from_json(model.to_json())
+    back = KlrModel.from_dict(json.loads(json.dumps(model.to_dict())))
     assert np.array_equal(back.alpha, model.alpha)
     assert np.array_equal(back.support, model.support)
     assert back.kernel == model.kernel
