@@ -287,12 +287,23 @@ def test_adapt_two_classes_one_target_row_document(tmp_path):
     assert [3, 7][predicted[0] - 1] == label
 
 
-def test_import_cli_skips_selftest():
-    code = "import sys, cpmkm.cli; print('cpmkm.selftest' in sys.modules)"
+def modules_loaded_by_cli_import(prefix):
+    """Names starting with `prefix` in sys.modules after a fresh interpreter
+    runs `import cpmkm.cli`."""
+    code = f"import sys, cpmkm.cli; print([m for m in sys.modules if m.startswith({prefix!r})])"
     src = str(Path(cpmkm.__file__).resolve().parents[1])
     res = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); "
                           + code], capture_output=True, text=True, check=True)
-    assert res.stdout.strip() == "False"
+    return res.stdout.strip()
+
+
+def test_import_cli_skips_selftest():
+    assert modules_loaded_by_cli_import("cpmkm.selftest") == "[]"
+
+
+def test_import_cli_skips_scipy_optimize():
+    # the KLR and CPM solvers are numpy loops: starting the CLI loads no optimizer
+    assert modules_loaded_by_cli_import("scipy.optimize") == "[]"
 
 
 BAD_INPUTS = {

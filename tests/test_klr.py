@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import minimize
 from scipy.special import logsumexp
 
 from cpmkm import klr
@@ -226,8 +227,42 @@ def test_fit_gradient_near_zero_at_optimum(draw, lam):
 def test_fit_unconverged_warns(monkeypatch):
     data = small_draw()
     monkeypatch.setattr(klr, "MAX_ITER", 1)
-    with pytest.warns(RuntimeWarning, match="L-BFGS status 1"):
+    with pytest.warns(RuntimeWarning, match=r"Newton iterations 1, max \|beta-gradient\| "):
         klr_fit(data, KernelParams(1.0), 0.01, 1e-8)
+
+
+def factor_objective_and_gradient(data, kernel, lam, alpha):
+    """klr_fit's factor-space objective and beta-gradient at beta = L11' alpha[p[:r]]."""
+    chol, perm = pivoted_factor(data.features, kernel)
+    rank = chol.shape[1]
+    beta = chol[:rank].T @ alpha[perm[:rank]]
+    labels = data.labels[perm]
+
+    def fun(flat):
+        b = flat.reshape(beta.shape)
+        ce, resid = klr._ce_and_resid(chol @ b, labels)
+        grad = chol.T @ (resid / len(labels)) + 2.0 * lam * b
+        return lam * float(np.sum(b * b)) + ce, grad.ravel()
+
+    return fun, beta
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e-3, 1.0, 1e2, 1e4])
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_fit_converges_to_the_minimum(m, c):
+    data = class_draw(m, duplicated=True, n=20, seed=m)
+    kernel, lam = KernelParams(0.5), 1.0 / (c * len(data.labels))
+    model = klr_fit(data, kernel, lam, 1e-8)  # a RuntimeWarning fails the test
+    fun, beta = factor_objective_and_gradient(data, kernel, lam, model.alpha)
+    assert beta.shape[0] < len(data.labels)
+    value, grad = fun(beta.ravel())
+    assert np.abs(grad).max() <= klr.GTOL
+    ref = minimize(fun, np.zeros(beta.size), jac=True, method="L-BFGS-B",
+                   options={"maxiter": 100000, "maxfun": 100000, "gtol": 1e-12,
+                            "ftol": 1e-16})
+    # the objective is 2 lam-strongly convex, so |grad|^2 / (4 lam) bounds its
+    # distance to the minimum: at C = 1e4 the GTOL stop allows more than 1e-9
+    assert value <= ref.fun + 1e-9 + np.sum(grad * grad) / (4 * lam)
 
 
 def test_fit_heavy_regularization():
