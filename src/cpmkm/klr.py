@@ -7,6 +7,10 @@ The fit is truncated Newton (Newton-CG) on the pivoted Cholesky factor of
 the training Gram (K[p][:, p] = L L', rank r <= n), where the problem is well
 conditioned, and maps the factor coefficients back to one coefficient per
 support point; the fit's GTOL bounds the gradient in the factor coefficients.
+Inside the fit every per-point array is class-major, one contiguous row per
+free class: scores, posteriors, residual and one-hot are (M-1, n), the factor
+coefficients and their gradient (M-1, r).  The sums over the classes then add
+a few rows, not a 2- or 3-wide inner axis; the model's alpha stays (n, M-1).
 Hyperparameters (inverse regularization C and kernel coefficient g) are
 selected by stratified k-fold cross-validation on the truncated CE loss.
 """
@@ -178,30 +182,33 @@ def _check_labels(labels: np.ndarray, num_classes: int):
 
 
 def _ce_and_resid(f: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean CE of the M-1 score columns f and the residual softmax - one-hot,
-    which is n times the CE gradient in f.  One exp serves both: the CE's
-    log-sum-exp and the softmax share the row maxima and row sums."""
-    if not np.all(np.isfinite(f)):
+    """Mean CE of the class-major free scores f, (M-1, n), and the residual
+    softmax - one-hot over the same M-1 rows, which is n times the CE gradient
+    in f.  One exp serves both: the CE's log-sum-exp and the softmax share the
+    column maxima and column sums, each a pass over M contiguous rows."""
+    if not np.isfinite(f).all():
         raise ValueError("non-finite score")
-    rows, picked = np.arange(f.shape[0]), labels - 1
-    scores = _scores(f)
-    shift = scores.max(axis=1, keepdims=True)
+    n = f.shape[1]
+    picked = (labels - 1) * n + np.arange(n)  # flat index of each column's label
+    scores = np.zeros((f.shape[0] + 1, n))
+    scores[:-1] = f
+    shift = scores.max(axis=0)
     e = np.exp(scores - shift)
-    total = e.sum(axis=1, keepdims=True)
-    ce = float(np.mean(np.log(total) + shift - scores[rows, picked, None]))
-    resid = e / total
-    resid[rows, picked] -= 1.0
-    return ce, resid[:, :-1]
+    total = e.sum(axis=0)
+    ce = float(np.sum(np.log(total) + shift - scores.take(picked))) / n
+    e /= total
+    e.ravel()[picked] -= 1.0
+    return ce, e[:-1]
 
 
 def _loss_and_grad(alpha: np.ndarray, k: np.ndarray, labels: np.ndarray,
                    lam: float) -> tuple[float, np.ndarray]:
     """Objective and gradient of the regularized CE from one score matrix."""
     _check_labels(labels, alpha.shape[1] + 1)
-    f = k @ alpha
+    f = alpha.T @ k  # K is symmetric, so these are the class-major scores
     ce, resid = _ce_and_resid(f, labels)
-    value = lam * float(np.sum(alpha * f)) + ce
-    return value, k @ (2.0 * lam * alpha + resid / k.shape[0])
+    value = lam * float(np.sum(alpha.T * f)) + ce
+    return value, k @ (2.0 * lam * alpha + resid.T / k.shape[0])
 
 
 def klr_objective(alpha, gram_self: GramMatrix, labels, lam: float) -> float:
@@ -232,27 +239,29 @@ def _newton_direction(chol: np.ndarray, probs: np.ndarray, lam: float,
                       grad: np.ndarray) -> np.ndarray:
     """Truncated Newton direction: CG on H d = -grad to relative residual
     min(0.5, sqrt(|grad|)), with the exact Hessian-vector product
-    H V = L'(P*U - P rowsum(P*U))/n + 2 lam V, U = L V, where P holds the
-    M-1 free posterior columns.  H is positive definite, so CG applies."""
+    H V = (P*U - P colsum(P*U)) L / n + 2 lam V, U = V L', where P holds the
+    M-1 free posterior rows.  Everything is class-major: probs is (M-1, n),
+    grad and the direction (M-1, r), so the sum over classes adds M-1
+    contiguous rows.  H is positive definite, so CG applies."""
     n = chol.shape[0]
 
     def hess_vec(v):
-        pu = probs * (chol @ v)
-        return chol.T @ ((pu - probs * pu.sum(axis=1, keepdims=True)) / n) + 2.0 * lam * v
+        pu = probs * (v @ chol.T)
+        return ((pu - probs * pu.sum(axis=0)) / n) @ chol + 2.0 * lam * v
 
     d = np.zeros_like(grad)
     r = -grad
     p = r.copy()
-    rr = float(np.sum(r * r))
+    rr = float(np.vdot(r, r))
     stop = min(0.25, np.sqrt(rr)) * rr  # (min(0.5, |grad|^0.5) |grad|)^2
     for _ in range(grad.size):
         if rr <= stop:
             break
         hp = hess_vec(p)
-        step = rr / float(np.sum(p * hp))
+        step = rr / float(np.vdot(p, hp))
         d += step * p
         r -= step * hp
-        rr, rr_old = float(np.sum(r * r)), rr
+        rr, rr_old = float(np.vdot(r, r)), rr
         p = r + (rr / rr_old) * p
     return d
 
@@ -263,14 +272,17 @@ def klr_fit(data, kernel: KernelParams, lam: float, trunc_t: float,
 
     The factor K[p][:, p] = L L' (L of rank r <= n) is pivoted_factor's, or
     `factor` when given, which must be pivoted_factor(data.features, kernel).
-    With scores f = L beta and penalty lam * ||beta||^2 the objective equals
-    the alpha-space one, but its Hessian is well conditioned.  From beta = 0
-    each Newton iteration solves for its direction by CG on the exact
-    Hessian-vector product (_newton_direction) and backtracks until the
-    Armijo condition holds; the fit stops once the beta-gradient is at most
-    GTOL in every entry, or after MAX_ITER iterations.
-    The fit maps back by alpha[p[:r]] = L11^-T beta, alpha = 0 elsewhere, so
-    K alpha = L beta.  Truncation only affects prediction; at t = 1e-8 it is
+    With class-major coefficients beta, (M-1, r), scores f = beta L' and
+    penalty lam * ||beta||^2 the objective equals the alpha-space one, but
+    its Hessian is well conditioned.  Scores, posteriors, residual, one-hot,
+    beta and its gradient all keep one row per free class, so each reduction
+    over the classes adds a few contiguous rows.  From beta = 0 each Newton
+    iteration solves for its direction by CG on the exact Hessian-vector
+    product (_newton_direction) and backtracks until the Armijo condition
+    holds; the fit stops once the beta-gradient is at most GTOL in every
+    entry, or after MAX_ITER iterations.
+    The fit maps back by alpha[p[:r]] = L11^-T beta', alpha = 0 elsewhere, so
+    K alpha = L beta'.  Truncation only affects prediction; at t = 1e-8 it is
     essentially inactive on training data, so the smooth objective is
     optimized.  An unconverged fit is returned with a RuntimeWarning.
     """
@@ -288,20 +300,20 @@ def klr_fit(data, kernel: KernelParams, lam: float, trunc_t: float,
         raise ValueError(f"factor has {chol.shape[0]} rows, data has {n}")
     rank = chol.shape[1]
     pivot_labels = labels[perm]
-    # the residual plus this one-hot is the M-1 free posterior columns
-    onehot = (pivot_labels[:, None] == np.arange(1, m)).astype(float)
+    # the residual plus this one-hot is the M-1 free posterior rows
+    onehot = (np.arange(1, m)[:, None] == pivot_labels).astype(float)
 
     def objective(beta):
-        ce, resid = _ce_and_resid(chol @ beta, pivot_labels)
-        return lam * float(np.sum(beta * beta)) + ce, resid
+        ce, resid = _ce_and_resid(beta @ chol.T, pivot_labels)
+        return lam * float(np.vdot(beta, beta)) + ce, resid
 
-    beta = np.zeros((rank, m - 1))
+    beta = np.zeros((m - 1, rank))
     value, resid = objective(beta)
-    grad = chol.T @ (resid / n)
+    grad = (resid / n) @ chol
     iters = 0
     while np.abs(grad).max() > GTOL and iters < MAX_ITER:
         d = _newton_direction(chol, resid + onehot, lam, grad)
-        slope = float(np.sum(grad * d))
+        slope = float(np.vdot(grad, d))
         t = 1.0
         while t >= T_MIN:
             trial_value, trial_resid = objective(beta + t * d)
@@ -311,14 +323,14 @@ def klr_fit(data, kernel: KernelParams, lam: float, trunc_t: float,
         if t < T_MIN:
             break  # no step decreases the objective: the search has stalled
         beta, value, resid = beta + t * d, trial_value, trial_resid
-        grad = chol.T @ (resid / n) + 2.0 * lam * beta
+        grad = (resid / n) @ chol + 2.0 * lam * beta
         iters += 1
     grad_max = np.abs(grad).max()
     if grad_max > GTOL:
         warnings.warn(f"klr_fit did not converge (Newton iterations {iters}, "
                       f"max |beta-gradient| {grad_max:.2e})", RuntimeWarning, stacklevel=2)
     alpha = np.zeros((n, m - 1))
-    alpha[perm[:rank]] = solve_triangular(chol[:rank], beta, lower=True, trans="T")
+    alpha[perm[:rank]] = solve_triangular(chol[:rank], beta.T, lower=True, trans="T")
     return KlrModel(support=x, alpha=alpha, kernel=kernel,
                     lam=lam, trunc_t=trunc_t, num_classes=m)
 

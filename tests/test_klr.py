@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize
@@ -128,14 +128,15 @@ def test_gradient_hand_case():
 
 @settings(deadline=None)
 @given(st.sampled_from([2, 3, 10]).flatmap(lambda m: st.tuples(
-    arrays(float, st.tuples(st.integers(1, 20), st.just(m - 1)),
+    arrays(float, st.tuples(st.just(m - 1), st.integers(1, 20)),
            elements=st.floats(-1e3, 1e3)),
     st.lists(st.integers(1, m), min_size=20, max_size=20))))
+@example((np.array([[0.0, 2.5, -700.0, 1e3]]), [1, 2, 2, 1] * 5))  # M = 2: one free row
 def test_ce_and_resid_matches_logsumexp_softmax(case):
-    f, labels = case
-    labels = np.array(labels[:len(f)])
-    scores = _scores(f)
-    rows = np.arange(len(f))
+    f, labels = case  # class-major: one row per free class, one column per point
+    labels = np.array(labels[:f.shape[1]])
+    scores = _scores(f.T)
+    rows = np.arange(f.shape[1])
     ce_ref = float(np.mean(logsumexp(scores, axis=1) - scores[rows, labels - 1]))
     resid_ref = softmax_scores(scores)
     resid_ref[rows, labels - 1] -= 1.0
@@ -143,14 +144,16 @@ def test_ce_and_resid_matches_logsumexp_softmax(case):
     # log(total) cannot resolve a total within one ulp of 1, where logsumexp's
     # log1p keeps the excess, so near-zero CE is compared on the ulp scale
     np.testing.assert_allclose(ce, ce_ref, rtol=1e-14, atol=np.finfo(float).eps)
-    np.testing.assert_allclose(resid, resid_ref[:, :-1], rtol=1e-14, atol=0)
+    np.testing.assert_allclose(resid, resid_ref[:, :-1].T, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_ce_and_resid_rejects_nonfinite(bad):
-    f = np.array([[0.5, bad], [0.1, 0.2]])
-    with pytest.raises(ValueError, match="non-finite score"):
-        klr._ce_and_resid(f, np.array([1, 3]))
+    # class-major; at M = 3 the bad score sits where label 1 does not look,
+    # at M = 2 in the one free row
+    for f, labels in (([[0.5, 0.1], [bad, 0.2]], [1, 3]), ([[0.5, bad, 0.1]], [1, 2, 2])):
+        with pytest.raises(ValueError, match="non-finite score"):
+            klr._ce_and_resid(np.array(f), np.array(labels))
 
 
 def test_objective_convex():
@@ -240,11 +243,33 @@ def factor_objective_and_gradient(data, kernel, lam, alpha):
 
     def fun(flat):
         b = flat.reshape(beta.shape)
-        ce, resid = klr._ce_and_resid(chol @ b, labels)
-        grad = chol.T @ (resid / len(labels)) + 2.0 * lam * b
+        ce, resid = klr._ce_and_resid((chol @ b).T, labels)
+        grad = chol.T @ (resid.T / len(labels)) + 2.0 * lam * b
         return lam * float(np.sum(b * b)) + ce, grad.ravel()
 
     return fun, beta
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-4, 1e-8])
+@pytest.mark.parametrize("m, duplicated", [(2, False), (3, False), (3, True)],
+                         ids=["M2", "M3", "M3-duplicate-points"])
+def test_newton_direction_meets_forcing_term(m, duplicated, scale):
+    data = class_draw(m, duplicated, n=12, seed=m)
+    chol = pivoted_factor(data.features, KernelParams(0.5))[0]
+    n, rank = chol.shape
+    assert rank < n or not duplicated
+    rng = np.random.default_rng(m)
+    probs = np.ascontiguousarray(softmax_scores(_scores(rng.standard_normal((n, m - 1))))[:, :-1].T)
+    lam = 0.01
+    grad = scale * rng.standard_normal((m - 1, rank))
+    # closed form L'(diag p - p p')L / n + 2 lam I, beta flattened class by class
+    hess = np.block([[chol.T @ (((k == j) * probs[k] - probs[k] * probs[j])[:, None] * chol) / n
+                      for j in range(m - 1)] for k in range(m - 1)])
+    hess += 2.0 * lam * np.eye(hess.shape[0])
+    d = klr._newton_direction(chol, probs, lam, grad)
+    assert d.shape == grad.shape
+    g = np.linalg.norm(grad)
+    assert np.linalg.norm(hess @ d.ravel() + grad.ravel()) <= min(0.5, np.sqrt(g)) * g
 
 
 @pytest.mark.parametrize("c", [1e-6, 1e-3, 1.0, 1e2, 1e4])
