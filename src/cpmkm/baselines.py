@@ -48,16 +48,16 @@ def confusion_estimate(model: KlrModel, holdout) -> ConfusionMatrix:
 
 
 def bbse_solve(confusion: ConfusionMatrix, target_pred_dist) -> np.ndarray:
-    """Solve C w = mu by least squares; negative components clipped to zero."""
-    c = confusion.values
-    mu = np.asarray(target_pred_dist, dtype=float)
-    smin = np.linalg.svd(c, compute_uv=False).min()
-    if smin < 1e-10:
-        warnings.warn("confusion matrix is ill-conditioned; using pseudo-inverse",
-                      RuntimeWarning)
-        w = np.linalg.pinv(c) @ mu
-    else:
-        w, *_ = np.linalg.lstsq(c, mu, rcond=None)
+    """Solve C w = mu by least squares; negative components clipped to zero.
+
+    A singular value of C below 1e-10 warns; lstsq then returns the
+    minimum-norm solution.
+    """
+    w, _, _, sv = np.linalg.lstsq(confusion.values,
+                                  np.asarray(target_pred_dist, dtype=float), rcond=None)
+    if sv.min() < 1e-10:
+        warnings.warn("confusion matrix is ill-conditioned; "
+                      "using the minimum-norm least-squares solution", RuntimeWarning)
     return np.maximum(w, 0.0)
 
 
@@ -91,21 +91,39 @@ def _mean_log_lik(ratio: np.ndarray, q: np.ndarray):
     return np.log(q @ ratio).sum() / ratio.shape[1]
 
 
+def _squarem(ratio: np.ndarray, q0: np.ndarray, q1: np.ndarray,
+             q2: np.ndarray) -> np.ndarray:
+    """SQUAREM's extrapolated point (Varadhan & Roland 2008) from two EM maps
+    q0 -> q1 -> q2.
+
+    With r = q1 - q0 and v = q2 - q1 - r, the point q0 - 2 s r + s^2 v with
+    s = -|r|/|v| replaces q2 when it is strictly positive and no less likely;
+    otherwise s backtracks, s <- (s - 1)/2, toward s = -1, where the point is
+    q2, so extrapolation also reaches a maximum on the simplex boundary.
+    """
+    r = q1 - q0
+    v = q2 - q1 - r
+    vv = v @ v
+    s = -np.sqrt((r @ r) / vv) if vv > 0 else -1.0
+    ll = _mean_log_lik(ratio, q2) if s < -1 else None
+    while s < -1:
+        q_ext = q0 - 2.0 * s * r + s * s * v
+        if np.all(q_ext > 0) and _mean_log_lik(ratio, q_ext) >= ll:
+            return q_ext
+        s = (s - 1.0) / 2.0  # backtrack toward s = -1, where q_ext = q2
+    return q2
+
+
 def mlls_em(target_probs, source_priors) -> np.ndarray:
     """EM on the target class priors; returns the ratio w_m = q(m)/p(m).
 
     The EM map q(m) <- mean_i of the posterior responsibility
     q(m) p(m|x_i)/p(m) / sum_j q(j) p(j|x_i)/p(j) is the standard prior-shift
     EM.  It converges linearly, and slowly where the maximum lies on the
-    simplex boundary, so it runs SQUAREM-accelerated (Varadhan & Roland
-    2008): from two EM maps with r = q1 - q0 and v = q2 - q1 - r, the point
-    q0 - 2 s r + s^2 v with s = -|r|/|v| replaces q2 when it is strictly
-    positive and no less likely; otherwise s backtracks, s <- (s - 1)/2,
-    toward s = -1, where the point is q2, so extrapolation also reaches a
-    maximum on the simplex boundary.  One EM map follows.  The target
-    log-likelihood stays non-decreasing.  EM stops once a map moves q by at
-    most EM_TOL in L1; EM_MAX_ITER counts EM maps, and stopping there issues a
-    RuntimeWarning.
+    simplex boundary, so every third map starts from the `_squarem` point of
+    the two maps before it.  The target log-likelihood stays non-decreasing.
+    EM stops once a map moves q by at most EM_TOL in L1; EM_MAX_ITER counts
+    EM maps, and stopping there issues a RuntimeWarning.
     """
     probs = np.atleast_2d(np.asarray(target_probs, dtype=float))
     priors = np.asarray(source_priors, dtype=float)
@@ -114,45 +132,14 @@ def mlls_em(target_probs, source_priors) -> np.ndarray:
     if np.any(priors <= 0):
         raise ValueError("source priors must be strictly positive")
     ratio = _class_major_ratio(probs, priors)
-    steps = 0
-
-    def em_step(q):
-        """One counted EM map and whether it moved q by at most EM_TOL."""
-        nonlocal steps
-        steps += 1
-        q_next = _em_map(ratio, q)
-        return q_next, np.abs(q_next - q).sum() <= EM_TOL
-
-    q, done = priors.copy(), False
-    while not done and steps < EM_MAX_ITER:
-        q0 = q
-        q1, done = em_step(q0)
-        q = q1
-        if done or steps == EM_MAX_ITER:
+    q0 = q1 = q = priors.copy()
+    for step in range(1, EM_MAX_ITER + 1):
+        if step % 3 == 0:
+            q = _squarem(ratio, q0, q1, q)
+        q0, q1, q = q1, q, _em_map(ratio, q)
+        if np.abs(q - q1).sum() <= EM_TOL:
             break
-        q, done = em_step(q1)
-        if done or steps == EM_MAX_ITER:
-            break
-        r = q1 - q0
-        v = q - q1 - r
-        vv = v @ v
-        s = -np.sqrt((r @ r) / vv) if vv > 0 else -1.0
-        ll = _mean_log_lik(ratio, q) if s < -1 else None
-        while s < -1:
-            q_ext = q0 - 2.0 * s * r + s * s * v
-            if np.all(q_ext > 0) and _mean_log_lik(ratio, q_ext) >= ll:
-                q = q_ext
-                break
-            s = (s - 1.0) / 2.0  # backtrack toward s = -1, where q_ext = q
-        q, done = em_step(q)  # the stabilising map
-    if not done:
-        warnings.warn(f"mlls_em did not converge in {steps} EM steps "
+    else:
+        warnings.warn(f"mlls_em did not converge in {EM_MAX_ITER} EM steps "
                       f"(tol {EM_TOL})", RuntimeWarning, stacklevel=2)
     return q / priors
-
-
-def mlls_log_likelihood(target_probs, source_priors, q) -> float:
-    """Mean target log-likelihood of priors q under the fixed source posteriors."""
-    ratio = _class_major_ratio(np.atleast_2d(np.asarray(target_probs, dtype=float)),
-                               np.asarray(source_priors, dtype=float))
-    return float(_mean_log_lik(ratio, np.asarray(q, dtype=float)))

@@ -16,7 +16,7 @@ from .adapt import reweight_posterior, target_class_probs
 from .baselines import bbse_solve, confusion_estimate, mlls_em, rlls_solve
 from .cpm import MatchProblem, cpm_solve, empirical_class_probs
 from .data import Dataset, shuffled_class_indices
-from .klr import CvGrid, check_simplex, cv_select, klr_predict, softmax_scores
+from .klr import CvGrid, check_simplex, cv_select, klr_predict
 
 METHODS = ("cpmkm", "bbse", "rlls", "mlls")
 
@@ -260,10 +260,3 @@ def gaussian_mixture_pool(n: int, seed: int, scale: float = 0.35) -> Dataset:
     labels = rng.choice(3, size=n, p=np.full(3, 1 / 3)) + 1
     features = MIXTURE_MEANS[labels - 1] + scale * rng.standard_normal((n, 2))
     return Dataset(features=features, labels=labels, num_classes=3)
-
-
-def gaussian_mixture_posterior(x, scale: float = 0.35) -> np.ndarray:
-    """Exact p(y|x) for the gaussian_mixture_pool generative model."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    d2 = ((x[:, None, :] - MIXTURE_MEANS[None, :, :]) ** 2).sum(axis=2)
-    return softmax_scores(-d2 / (2 * scale ** 2))

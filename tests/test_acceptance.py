@@ -16,8 +16,8 @@ from cpmkm.selftest import (check_cpm_gradient, check_klr_gradient,
                             check_mlls_monotone, check_truncation)
 from cpmkm.shiftlab import (MIXTURE_MEANS, ShiftSpec, _draw_by_class, _rng,
                             _stratified_split, gaussian_mixture_pool,
-                            gaussian_mixture_posterior, sample_source,
-                            sample_target_test)
+                            sample_source, sample_target_test)
+from mixture import gaussian_mixture_posterior
 
 N_SEEDS = 20
 N_P = 2000

@@ -1,15 +1,20 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpmkm import baselines
-from cpmkm.baselines import (ConfusionMatrix, bbse_solve, confusion_estimate,
-                             mlls_em, mlls_log_likelihood, rlls_solve)
+from cpmkm.baselines import (ConfusionMatrix, _class_major_ratio, _em_map,
+                             _mean_log_lik, _squarem, bbse_solve, confusion_estimate,
+                             mlls_em, rlls_solve)
 from cpmkm.data import Dataset
 from cpmkm.kernel import KernelParams
 from cpmkm.klr import klr_fit
-from cpmkm.shiftlab import MIXTURE_MEANS, gaussian_mixture_posterior
+from cpmkm.shiftlab import MIXTURE_MEANS
+from mixture import gaussian_mixture_posterior
 
 
 def separable_model_and_holdout(seed=0, n=40):
@@ -99,10 +104,17 @@ def test_bbse_clips_negatives():
 
 
 def test_bbse_ill_conditioned_warns():
-    c = ConfusionMatrix(values=np.array([[0.5, 0.5], [0.0, 0.0]]))
-    with pytest.warns(RuntimeWarning):
-        w = bbse_solve(c, [0.6, 0.4])
-    assert np.all(np.isfinite(w))
+    for values, mu in [
+        ([[0.5, 0.5], [0.0, 0.0]], [0.6, 0.4]),
+        # rank 2: column 3 is the sum of columns 1 and 2
+        ([[0.2, 0.05, 0.25], [0.05, 0.1, 0.15], [0.0, 0.1, 0.1]], [0.45, 0.3, 0.25]),
+    ]:
+        c = ConfusionMatrix(values=np.array(values))
+        with pytest.warns(RuntimeWarning, match="ill-conditioned; using the minimum-norm"):
+            w = bbse_solve(c, mu)
+        # the minimum-norm least-squares solution, as the pseudo-inverse gives it
+        np.testing.assert_allclose(w, np.maximum(np.linalg.pinv(c.values) @ mu, 0.0),
+                                   rtol=0, atol=1e-12)
 
 
 def test_bbse_population_exact_recovery():
@@ -190,7 +202,8 @@ def test_mlls_matches_long_plain_em(m, monkeypatch):
         q = mlls_em(p, pri) * pri
         # EM fixed point: one more map moves q by no more than the tolerance
         assert np.abs(plain_em(p, pri, 1, q) - q).sum() <= 1e-12
-        assert mlls_log_likelihood(p, pri, q) >= mlls_log_likelihood(p, pri, ref) - 1e-12
+        ratio = _class_major_ratio(p, pri)
+        assert _mean_log_lik(ratio, q) >= _mean_log_lik(ratio, ref) - 1e-12
 
 
 def test_mlls_cap_warns(monkeypatch):
@@ -240,6 +253,114 @@ def test_mlls_boundary_maximum_one_dimensional(monkeypatch):
         warnings.simplefilter("error", RuntimeWarning)
         w = mlls_em(rows, np.array([0.5, 0.5]))
     assert w == pytest.approx([2.0, 0.0], abs=1e-4)
+
+
+def reference_mlls_em(probs, priors, max_iter):
+    """The reference that mlls_em must match bit for bit, with the cap as a
+    parameter: two counted EM maps with an exit after each, the SQUAREM point
+    inline, then a stabilising map."""
+    ratio = _class_major_ratio(probs, priors)
+    steps = 0
+
+    def em_step(q):
+        nonlocal steps
+        steps += 1
+        q_next = _em_map(ratio, q)
+        return q_next, np.abs(q_next - q).sum() <= baselines.EM_TOL
+
+    q, done = priors.copy(), False
+    while not done and steps < max_iter:
+        q0 = q
+        q1, done = em_step(q0)
+        q = q1
+        if done or steps == max_iter:
+            break
+        q, done = em_step(q1)
+        if done or steps == max_iter:
+            break
+        r = q1 - q0
+        v = q - q1 - r
+        vv = v @ v
+        s = -np.sqrt((r @ r) / vv) if vv > 0 else -1.0
+        ll = _mean_log_lik(ratio, q) if s < -1 else None
+        while s < -1:
+            q_ext = q0 - 2.0 * s * r + s * s * v
+            if np.all(q_ext > 0) and _mean_log_lik(ratio, q_ext) >= ll:
+                q = q_ext
+                break
+            s = (s - 1.0) / 2.0
+        q, done = em_step(q)
+    if not done:
+        warnings.warn(f"mlls_em did not converge in {steps} EM steps "
+                      f"(tol {baselines.EM_TOL})", RuntimeWarning)
+    return q / priors
+
+
+@st.composite
+def em_problems(draw):
+    """Peaked posteriors of n_q target rows, most of them from one class."""
+    m = draw(st.integers(2, 10))
+    n = draw(st.integers(1, 200))
+    peak = draw(st.floats(0.0, 30.0))
+    share = draw(st.floats(0.5, 1.0))  # of rows drawn from the main class
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = np.where(rng.random(n) < share, rng.integers(m), rng.integers(m, size=n))
+    scores = rng.standard_normal((n, m))
+    scores[np.arange(n), labels] += peak
+    probs = np.exp(scores - scores.max(axis=1, keepdims=True))
+    priors = rng.random(m) + 1e-3
+    return probs / probs.sum(axis=1, keepdims=True), priors / priors.sum()
+
+
+def run_recording_warnings(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(deadline=None, max_examples=300)
+@given(em_problems(), st.one_of(st.just(baselines.EM_MAX_ITER), st.integers(1, 40)))
+def test_mlls_matches_reference_loop(problem, cap):
+    probs, priors = problem
+    with mock.patch.object(baselines, "EM_MAX_ITER", cap):
+        w, warned = run_recording_warnings(mlls_em, probs, priors)
+    w_ref, warned_ref = run_recording_warnings(reference_mlls_em, probs, priors, cap)
+    assert w.tobytes() == w_ref.tobytes()
+    assert warned == warned_ref
+
+
+def test_squarem_without_curvature_returns_q2():
+    # q0, q1, q2 on a line at equal steps: v = 0 exactly
+    ratio = _class_major_ratio(np.array([[0.9, 0.1], [0.2, 0.8]]), np.array([0.5, 0.5]))
+    q0, q1, q2 = np.array([0.25, 0.75]), np.array([0.375, 0.625]), np.array([0.5, 0.5])
+    assert np.array_equal(_squarem(ratio, q0, q1, q2), q2)
+
+
+@settings(deadline=None, max_examples=100)
+@given(em_problems())
+def test_squarem_accepts_only_positive_no_less_likely_points(problem):
+    probs, priors = problem
+    ratio = _class_major_ratio(probs, priors)
+    q0 = priors
+    for _ in range(10):
+        q1 = _em_map(ratio, q0)
+        q2 = _em_map(ratio, q1)
+        q = _squarem(ratio, q0, q1, q2)
+        if q is not q2:
+            assert np.all(q > 0)
+            assert _mean_log_lik(ratio, q) >= _mean_log_lik(ratio, q2)
+        q0 = _em_map(ratio, q)
+
+
+def test_squarem_rejected_extrapolation_backtracks_to_q2():
+    # rows favour class 1, so each point q0 - 2 s r + s^2 v that backtracking
+    # tries (s = -2, -1.5, -1.25, ...) is more likely than q2 = (1, 0), but its
+    # second entry, 0.25 (s+1)(s+3), is negative
+    rows = np.tile(np.array([0.5, 0.4995]) / 0.9995, (10, 1))
+    ratio = _class_major_ratio(rows, np.array([0.5, 0.5]))
+    q0, q1, q2 = np.array([0.25, 0.75]), np.array([0.75, 0.25]), np.array([1.0, 0.0])
+    assert np.array_equal(_squarem(ratio, q0, q1, q2), q2)
 
 
 def test_all_estimators_return_ones_without_shift():

@@ -10,7 +10,8 @@ from cpmkm.baselines import mlls_em
 from cpmkm.cpm import (MatchProblem, cpm_gradient, cpm_objective, cpm_solve,
                        empirical_class_probs, reweighted_target_probs)
 from cpmkm.selftest import _fd_match
-from cpmkm.shiftlab import MIXTURE_MEANS, gaussian_mixture_posterior
+from cpmkm.shiftlab import MIXTURE_MEANS
+from mixture import gaussian_mixture_posterior
 
 
 def random_simplex(rng, m):

@@ -12,9 +12,9 @@ from cpmkm.data import (Dataset, load_csv, load_feature_csv, load_label_csv,
 from cpmkm.klr import CvGrid, klr_predict
 from cpmkm.shiftlab import (METHODS, MIXTURE_MEANS, EvalReport, ShiftSpec, aggregate,
                             dirichlet_sample, estimate_weights, gaussian_mixture_pool,
-                            gaussian_mixture_posterior, metric_acc, metric_mse,
-                            run_benchmark, sample_shift_scenario, sample_source,
-                            sample_target_test)
+                            metric_acc, metric_mse, run_benchmark,
+                            sample_shift_scenario, sample_source, sample_target_test)
+from mixture import gaussian_mixture_posterior
 
 
 # ---------------------------------------------------------------- load_csv
