@@ -68,8 +68,6 @@ def adapt_pipeline(source: Dataset, target_unlabeled, cv_grid: CvGrid,
     if target_unlabeled.shape[0] < 1:
         raise ValueError("target set must be non-empty")
     priors = empirical_class_probs(source.labels, source.num_classes)
-    if np.any(priors == 0):
-        raise ValueError("every class must appear in the source data")
     selection = cv_select(source, cv_grid, seed)
     target_probs = klr_predict(selection.model, target_unlabeled)
     w = cpm_solve(MatchProblem(p_hat=priors, target_probs=target_probs))

@@ -12,12 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .klr import check_simplex
+from .data import check_labels
+from .klr import ARMIJO, T_MIN, check_simplex
 
 FLOOR_S = 1e-12  # floor on each target point's denominator sum_m w_m p(m|x)
 MAX_ITER = 1000  # projected Newton iteration cap of cpm_solve
-ARMIJO = 1e-4    # sufficient-decrease fraction of cpm_solve's line search
-T_MIN = 2.0 ** -40  # shortest step along the projection arc
 ANGLE = 1e-8     # least cosine between a Newton step and -g
 ROUND = 8 * np.finfo(float).eps  # bound on f's rounding error per |r| (|p_hat| + |mean a|)
 
@@ -46,8 +45,7 @@ def empirical_class_probs(labels, num_classes: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=int)
     if labels.size == 0:
         raise ValueError("empty label vector")
-    if labels.min() < 1 or labels.max() > num_classes:
-        raise ValueError(f"labels must lie in 1..{num_classes}")
+    check_labels(labels, num_classes)
     return np.bincount(labels - 1, minlength=num_classes) / labels.size
 
 

@@ -12,6 +12,12 @@ import numpy as np
 VARIANCE_FLOOR = 1e-12
 
 
+def check_labels(labels: np.ndarray, num_classes: int):
+    """Raise ValueError unless every label lies in 1..num_classes."""
+    if labels.min() < 1 or labels.max() > num_classes:
+        raise ValueError(f"labels must lie in 1..{num_classes}")
+
+
 @dataclass
 class Dataset:
     """Feature matrix with integer labels in 1..M."""
@@ -31,8 +37,7 @@ class Dataset:
             raise ValueError("dataset must contain at least one sample")
         if not np.all(np.isfinite(self.features)):
             raise ValueError("non-finite feature value")
-        if self.labels.min() < 1 or self.labels.max() > self.num_classes:
-            raise ValueError(f"labels must lie in 1..{self.num_classes}")
+        check_labels(self.labels, self.num_classes)
 
     def __len__(self):
         return len(self.labels)

@@ -24,14 +24,14 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpstrf
 
-from .data import shuffled_class_indices
+from .data import check_labels, shuffled_class_indices
 from .kernel import GramMatrix, KernelParams, gram
 
 MODEL_FORMAT_VERSION = 1
 GTOL = 1e-6  # klr_fit stops once the factor-coefficient gradient is this small
 MAX_ITER = 500  # klr_fit's cap on Newton iterations
-ARMIJO = 1e-4  # sufficient-decrease fraction of klr_fit's line search
-T_MIN = 2.0 ** -40  # shortest step of klr_fit's line search
+ARMIJO = 1e-4  # sufficient-decrease fraction of the klr_fit and cpm_solve line searches
+T_MIN = 2.0 ** -40  # shortest step of those line searches
 PREDICT_BLOCK = 2 ** 17  # Gram entries per klr_predict block, 1 MB of doubles
 
 
@@ -171,16 +171,6 @@ def truncate_simplex(p, t: float) -> np.ndarray:
     return np.where(below, t, t + (p - t) * (1.0 - deficit / headroom))
 
 
-def _scores(f: np.ndarray) -> np.ndarray:
-    """Full M-column score matrix from M-1 columns, the last class pinned to zero."""
-    return np.hstack([f, np.zeros((f.shape[0], 1))])
-
-
-def _check_labels(labels: np.ndarray, num_classes: int):
-    if labels.min() < 1 or labels.max() > num_classes:
-        raise ValueError(f"labels must lie in 1..{num_classes}")
-
-
 def _ce_and_resid(f: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean CE of the class-major free scores f, (M-1, n), and the residual
     softmax - one-hot over the same M-1 rows, which is n times the CE gradient
@@ -204,7 +194,7 @@ def _ce_and_resid(f: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]
 def _loss_and_grad(alpha: np.ndarray, k: np.ndarray, labels: np.ndarray,
                    lam: float) -> tuple[float, np.ndarray]:
     """Objective and gradient of the regularized CE from one score matrix."""
-    _check_labels(labels, alpha.shape[1] + 1)
+    check_labels(labels, alpha.shape[1] + 1)
     f = alpha.T @ k  # K is symmetric, so these are the class-major scores
     ce, resid = _ce_and_resid(f, labels)
     value = lam * float(np.sum(alpha.T * f)) + ce
@@ -290,7 +280,7 @@ def klr_fit(data, kernel: KernelParams, lam: float, trunc_t: float,
     labels = np.asarray(data.labels, dtype=int)
     m = data.num_classes
     n = x.shape[0]
-    _check_labels(labels, m)
+    check_labels(labels, m)
     counts = np.bincount(labels - 1, minlength=m)
     if (counts == 0).any():
         missing = data.class_value(int(np.argmin(counts)) + 1)
@@ -309,9 +299,11 @@ def klr_fit(data, kernel: KernelParams, lam: float, trunc_t: float,
 
     beta = np.zeros((m - 1, rank))
     value, resid = objective(beta)
-    grad = (resid / n) @ chol
-    iters = 0
-    while np.abs(grad).max() > GTOL and iters < MAX_ITER:
+    for iters in range(MAX_ITER + 1):
+        grad = (resid / n) @ chol + 2.0 * lam * beta
+        grad_max = np.abs(grad).max()
+        if grad_max <= GTOL or iters == MAX_ITER:
+            break
         d = _newton_direction(chol, resid + onehot, lam, grad)
         slope = float(np.vdot(grad, d))
         t = 1.0
@@ -323,9 +315,6 @@ def klr_fit(data, kernel: KernelParams, lam: float, trunc_t: float,
         if t < T_MIN:
             break  # no step decreases the objective: the search has stalled
         beta, value, resid = beta + t * d, trial_value, trial_resid
-        grad = (resid / n) @ chol + 2.0 * lam * beta
-        iters += 1
-    grad_max = np.abs(grad).max()
     if grad_max > GTOL:
         warnings.warn(f"klr_fit did not converge (Newton iterations {iters}, "
                       f"max |beta-gradient| {grad_max:.2e})", RuntimeWarning, stacklevel=2)
@@ -350,11 +339,12 @@ def klr_predict(model: KlrModel, points) -> np.ndarray:
     # row blocks of PREDICT_BLOCK entries: each Gram block stays in cache
     # from its product through the exp to the product with alpha
     step = max(1, PREDICT_BLOCK // len(support))
-    f = np.empty((len(points), alpha.shape[1]))
+    # the last class's score column stays pinned at zero
+    f = np.zeros((len(points), model.num_classes))
     for start in range(0, len(points), step):
         block = points[start:start + step]
-        f[start:start + step] = gram(block, support, model.kernel).values @ alpha
-    return truncate_simplex(softmax_scores(_scores(f)), model.trunc_t)
+        f[start:start + step, :-1] = gram(block, support, model.kernel).values @ alpha
+    return truncate_simplex(softmax_scores(f), model.trunc_t)
 
 
 def cv_select(data, cv_grid: CvGrid, seed: int) -> CvSelection:
@@ -374,7 +364,7 @@ def cv_select(data, cv_grid: CvGrid, seed: int) -> CvSelection:
     if counts.max() < cv_grid.folds:
         raise ValueError(f"no class has {cv_grid.folds} examples: "
                          f"a validation fold would be empty")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
     # every class spreads across the folds
     assignment = np.empty(n, dtype=int)
     for idx in shuffled_class_indices(labels, rng):

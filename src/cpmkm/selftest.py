@@ -16,17 +16,18 @@ def _random_simplex(rng, shape):
 
 
 def check_truncation(rng) -> bool:
-    """10 000 vectors, M in 2..10, at three thresholds each: on the simplex,
-    floored at t, order kept strictly, idempotent; and the hand case."""
-    for _ in range(10_000):
-        m = int(rng.integers(2, 11))
-        p = rng.random(m) + 1e-9
-        p /= p.sum()
-        order = np.argsort(p)
+    """10 000 vectors, M in 2..10, at three thresholds each, truncated as one
+    row-wise matrix per M as klr_predict does: on the simplex, floored at t,
+    order kept, idempotent; and the hand case."""
+    sizes = rng.integers(2, 11, 10_000)
+    for m in range(2, 11):
+        p = rng.random((int(np.sum(sizes == m)), m)) + 1e-9
+        p /= p.sum(axis=1, keepdims=True)
+        order = np.argsort(p, axis=1)
         for t in (1e-8, 0.01, 1 / (2 * m) - 1e-6):
             out = klr.truncate_simplex(p, t)
-            if (abs(out.sum() - 1.0) > 1e-10 or out.min() < t - 1e-15
-                    or np.any(np.diff(out[order]) < 0)
+            if (np.any(np.abs(out.sum(axis=1) - 1.0) > 1e-10) or np.any(out < t - 1e-15)
+                    or np.any(np.diff(np.take_along_axis(out, order, axis=1)) < 0)
                     or not np.array_equal(klr.truncate_simplex(out, t), out)):
                 return False
     hand = klr.truncate_simplex(np.array([0.5, 0.4, 0.1]), 0.2)

@@ -33,12 +33,8 @@ _STREAM_CV = 5
 _STREAM_HOLDOUT = 6
 
 
-def _rng(seed, stream: int) -> np.random.Generator:
-    if isinstance(seed, tuple):
-        key = (*seed, stream)
-    else:
-        key = (seed, stream)
-    return np.random.default_rng(np.random.SeedSequence(0, spawn_key=key))
+def _rng(seed: tuple, stream: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(0, spawn_key=(*seed, stream)))
 
 
 @dataclass(frozen=True)
@@ -106,7 +102,7 @@ def _draw_by_class(pool: Dataset, counts, rng: np.random.Generator,
     return np.concatenate(chosen) if chosen else np.array([], dtype=int)
 
 
-def sample_source(pool: Dataset, n_p: int, seed) -> tuple[Dataset, np.ndarray]:
+def sample_source(pool: Dataset, n_p: int, seed: tuple) -> tuple[Dataset, np.ndarray]:
     """Uniform-prior source draw; returns the Dataset and the used indices."""
     counts = _uniform_source_counts(n_p, pool.num_classes)
     idx = _draw_by_class(pool, counts, _rng(seed, _STREAM_SOURCE),
@@ -114,7 +110,7 @@ def sample_source(pool: Dataset, n_p: int, seed) -> tuple[Dataset, np.ndarray]:
     return pool.subset(idx), idx
 
 
-def sample_target_test(pool: Dataset, spec: ShiftSpec, seed,
+def sample_target_test(pool: Dataset, spec: ShiftSpec, seed: tuple,
                        exclude: np.ndarray):
     """Draw q_true and the pool indices of a target and a disjoint test set."""
     m = pool.num_classes
@@ -139,8 +135,8 @@ def sample_target_test(pool: Dataset, spec: ShiftSpec, seed,
 
 def sample_shift_scenario(pool: Dataset, spec: ShiftSpec):
     """One full scenario: (source, target features, test, q_true)."""
-    source, used = sample_source(pool, spec.n_p, spec.seed)
-    q_true, target_idx, test_idx = sample_target_test(pool, spec, spec.seed, used)
+    source, used = sample_source(pool, spec.n_p, (spec.seed,))
+    q_true, target_idx, test_idx = sample_target_test(pool, spec, (spec.seed,), used)
     return source, pool.features[target_idx], pool.subset(test_idx), q_true
 
 
@@ -256,7 +252,7 @@ def aggregate(reports) -> dict:
 
 def gaussian_mixture_pool(n: int, seed: int, scale: float = 0.35) -> Dataset:
     """Synthetic 2-d pool: three equally likely classes at MIXTURE_MEANS."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
     labels = rng.choice(3, size=n, p=np.full(3, 1 / 3)) + 1
     features = MIXTURE_MEANS[labels - 1] + scale * rng.standard_normal((n, 2))
     return Dataset(features=features, labels=labels, num_classes=3)

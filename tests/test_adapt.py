@@ -160,6 +160,15 @@ def test_pipeline_single_target_class():
     assert np.mean(pred == 2) >= 0.95
 
 
+def test_pipeline_rejects_an_empty_source_class():
+    # cv_select rejects a class with fewer than 2 rows, an empty one included
+    rng = np.random.default_rng(9)
+    source = Dataset(features=rng.standard_normal((20, 2)),
+                     labels=np.r_[[1] * 10, [2] * 10], num_classes=3)
+    with pytest.raises(ValueError, match="too few examples"):
+        adapt_pipeline(source, rng.standard_normal((5, 2)), CvGrid(), seed=0)
+
+
 def test_pipeline_deterministic():
     rng = np.random.default_rng(7)
     labels = np.array([1] * 30 + [2] * 30)

@@ -11,7 +11,7 @@ from scipy.special import logsumexp
 from cpmkm import klr
 from cpmkm.data import Dataset, shuffled_class_indices
 from cpmkm.kernel import GramMatrix, KernelParams, gram
-from cpmkm.klr import (PREDICT_BLOCK, CvGrid, CvSelection, KlrModel, _scores, cv_select,
+from cpmkm.klr import (PREDICT_BLOCK, CvGrid, CvSelection, KlrModel, cv_select,
                        klr_fit, klr_gradient, klr_objective, klr_predict,
                        pivoted_factor, softmax_scores, truncate_simplex)
 from cpmkm.shiftlab import gaussian_mixture_pool, sample_source
@@ -135,7 +135,7 @@ def test_gradient_hand_case():
 def test_ce_and_resid_matches_logsumexp_softmax(case):
     f, labels = case  # class-major: one row per free class, one column per point
     labels = np.array(labels[:f.shape[1]])
-    scores = _scores(f.T)
+    scores = np.hstack([f.T, np.zeros((f.shape[1], 1))])
     rows = np.arange(f.shape[1])
     ce_ref = float(np.mean(logsumexp(scores, axis=1) - scores[rows, labels - 1]))
     resid_ref = softmax_scores(scores)
@@ -201,7 +201,7 @@ def small_draw():
 
 def mixture_draw():
     pool = gaussian_mixture_pool(4000, seed=3, scale=0.35)
-    return sample_source(pool, 200, seed=4)[0]
+    return sample_source(pool, 200, seed=(4,))[0]
 
 
 def duplicated_draw():
@@ -259,7 +259,8 @@ def test_newton_direction_meets_forcing_term(m, duplicated, scale):
     n, rank = chol.shape
     assert rank < n or not duplicated
     rng = np.random.default_rng(m)
-    probs = np.ascontiguousarray(softmax_scores(_scores(rng.standard_normal((n, m - 1))))[:, :-1].T)
+    scores = np.hstack([rng.standard_normal((n, m - 1)), np.zeros((n, 1))])
+    probs = np.ascontiguousarray(softmax_scores(scores)[:, :-1].T)
     lam = 0.01
     grad = scale * rng.standard_normal((m - 1, rank))
     # closed form L'(diag p - p p')L / n + 2 lam I, beta flattened class by class
@@ -576,7 +577,7 @@ def test_predict_blocks_match_dense(g):
     for n in (1, step - 1, step, step + 1, 3 * step + 7):
         points = rng.standard_normal((n, 2))
         f = gram(points, support, model.kernel).values @ alpha
-        ref = truncate_simplex(softmax_scores(_scores(f)), model.trunc_t)
+        ref = truncate_simplex(softmax_scores(np.hstack([f, np.zeros((n, 1))])), model.trunc_t)
         assert np.abs(klr_predict(model, points) - ref).max() <= 1e-14
     a, b = rng.standard_normal((step + 3, 2)), rng.standard_normal((2 * step - 5, 2))
     stacked = np.vstack([klr_predict(model, a), klr_predict(model, b)])

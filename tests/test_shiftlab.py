@@ -9,12 +9,42 @@ from cpmkm.baselines import confusion_estimate
 from cpmkm.cpm import empirical_class_probs
 from cpmkm.data import (Dataset, load_csv, load_feature_csv, load_label_csv,
                         standardize_columns)
-from cpmkm.klr import CvGrid, klr_predict
+from cpmkm.kernel import KernelParams, gram
+from cpmkm.klr import CvGrid, klr_gradient, klr_objective, klr_predict
 from cpmkm.shiftlab import (METHODS, MIXTURE_MEANS, EvalReport, ShiftSpec, aggregate,
                             dirichlet_sample, estimate_weights, gaussian_mixture_pool,
                             metric_acc, metric_mse, run_benchmark,
                             sample_shift_scenario, sample_source, sample_target_test)
 from mixture import gaussian_mixture_posterior
+
+
+# ------------------------------------------------------------ label range
+
+def _dataset(labels, m):
+    Dataset(features=np.zeros((len(labels), 1)), labels=labels, num_classes=m)
+
+
+def _klr_view(view):
+    def call(labels, m):
+        x = np.arange(len(labels), dtype=float)[:, None]
+        view(np.zeros((len(labels), m - 1)), gram(x, x, KernelParams(1.0)), labels, 0.1)
+    return call
+
+
+LABEL_CHECKERS = {
+    "Dataset": _dataset,
+    "empirical_class_probs": empirical_class_probs,
+    "klr_objective": _klr_view(klr_objective),
+    "klr_gradient": _klr_view(klr_gradient),
+}
+
+
+@pytest.mark.parametrize("bad", [0, 4])
+@pytest.mark.parametrize("caller", list(LABEL_CHECKERS))
+def test_labels_outside_1_to_m_are_rejected(caller, bad):
+    # every caller states the rule through data.check_labels, one message
+    with pytest.raises(ValueError, match=r"^labels must lie in 1\.\.3$"):
+        LABEL_CHECKERS[caller](np.array([1, 2, 3, bad]), 3)
 
 
 # ---------------------------------------------------------------- load_csv
@@ -137,17 +167,32 @@ def test_one_hot_for_single_supported_class():
 def test_scenario_disjointness():
     pool = gaussian_mixture_pool(800, seed=2)
     spec = ShiftSpec(alpha=2.0, m_q=3, n_p=120, n_q=100, n_t=100, seed=5)
-    _, used = sample_source(pool, spec.n_p, spec.seed)
-    _, target_idx, test_idx = sample_target_test(pool, spec, spec.seed, used)
+    _, used = sample_source(pool, spec.n_p, (spec.seed,))
+    _, target_idx, test_idx = sample_target_test(pool, spec, (spec.seed,), used)
     assert (len(used), len(target_idx), len(test_idx)) == (spec.n_p, spec.n_q, spec.n_t)
     # source, target and test index sets are pairwise disjoint, without repeats
     drawn = np.concatenate([used, target_idx, test_idx])
     assert len(np.unique(drawn)) == len(drawn)
 
 
+def test_scenario_streams_are_pinned():
+    # each pool row's feature is its index, so the draws read back as indices;
+    # any change to a scenario's random streams changes one of these lists
+    n = 60
+    pool = Dataset(features=np.c_[np.arange(n), np.zeros(n)],
+                   labels=np.arange(n) % 3 + 1, num_classes=3)
+    spec = ShiftSpec(alpha=1.0, m_q=3, n_p=9, n_q=8, n_t=8, seed=7)
+    source, target_x, test, q_true = sample_shift_scenario(pool, spec)
+    assert source.features[:, 0].tolist() == [3, 27, 18, 58, 19, 31, 38, 50, 26]
+    assert target_x[:, 0].tolist() == [52, 28, 16, 1, 43, 20, 56, 17]
+    assert test.features[:, 0].tolist() == [37, 49, 13, 55, 4, 40, 53, 44]
+    assert q_true.tolist() == [0.0011285496136254282, 0.7704333528879649,
+                               0.22843809749840974]
+
+
 def test_uniform_source_counts_with_remainder():
     pool = gaussian_mixture_pool(900, seed=3)
-    source, _ = sample_source(pool, 100, seed=0)
+    source, _ = sample_source(pool, 100, seed=(0,))
     counts = np.bincount(source.labels - 1, minlength=3)
     assert sorted(counts, reverse=True) == [34, 33, 33]
     assert counts[0] == 34  # remainder goes to the lowest class index
