@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+EPS = np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class KernelParams:
@@ -58,13 +60,24 @@ def gram(rows, cols, params: KernelParams) -> GramMatrix:
     yy = xx if symmetric else np.einsum("ij,ij->i", y, y)
     # a self-Gram adds its transpose below, so each half carries g/2
     g = params.gamma_sq_inv / (2.0 if symmetric else 1.0)
-    s = (np.column_stack([x, xx, np.ones(len(x))])
-         @ np.column_stack([2.0 * g * y, np.full(len(y), -g), -g * yy]).T)
-    # the expansion errs by at most a few d * eps * (|x|^2 + |y|^2), times g
-    bound = 4.0 * (x.shape[1] + 2) * np.finfo(float).eps * (xx.max() + yy.max())
-    i, j = np.divmod(np.flatnonzero(s > -g * bound), s.shape[1])
-    diff = x[i] - y[j]
-    s[i, j] = -g * np.einsum("ij,ij->i", diff, diff)
+    d = x.shape[1]
+    a = np.empty((len(x), d + 2))
+    a[:, :d] = x
+    a[:, d] = xx
+    a[:, d + 1] = 1.0
+    b = np.empty((len(y), d + 2))
+    np.multiply(2.0 * g, y, out=b[:, :d])
+    b[:, d] = -g
+    np.multiply(-g, yy, out=b[:, d + 1])
+    s = a @ b.T
+    # the expansion errs by at most a few d * eps * (|x|^2 + |y|^2), times g;
+    # the scan for entries past that bound runs only when the largest entry
+    # is past it, or is NaN
+    cut = -g * (4.0 * (d + 2) * EPS * (xx.max() + yy.max()))
+    if not s.max() <= cut:
+        i, j = np.divmod(np.flatnonzero(s > cut), s.shape[1])
+        diff = x[i] - y[j]
+        s[i, j] = -g * np.einsum("ij,ij->i", diff, diff)
     if symmetric:
         # the expansion's rounding is not symmetric; the sum of both halves is
         s += s.T.copy()

@@ -21,8 +21,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpstrf
+from scipy.linalg.lapack import dpstrf, dtrtrs
 
 from .data import check_labels, shuffled_class_indices
 from .kernel import GramMatrix, KernelParams, gram
@@ -171,17 +170,17 @@ def truncate_simplex(p, t: float) -> np.ndarray:
     return np.where(below, t, t + (p - t) * (1.0 - deficit / headroom))
 
 
-def _ce_and_resid(f: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean CE of the class-major free scores f, (M-1, n), and the residual
-    softmax - one-hot over the same M-1 rows, which is n times the CE gradient
-    in f.  One exp serves both: the CE's log-sum-exp and the softmax share the
-    column maxima and column sums, each a pass over M contiguous rows."""
-    if not np.isfinite(f).all():
+def _ce_and_resid(scores: np.ndarray, picked: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean CE of the class-major scores, a C-ordered (M, n) array with a zero
+    last row, and the residual softmax - one-hot over the M-1 free rows, which
+    is n times the CE gradient in those rows; picked is the flat index
+    (label - 1) n + i of each column's label.  One exp serves both: the CE's
+    log-sum-exp and the softmax share the column maxima and column sums, each
+    a pass over M contiguous rows.  The residual is a view of that fresh exp,
+    never of scores, so a caller may overwrite scores once this returns."""
+    if not np.isfinite(scores).all():
         raise ValueError("non-finite score")
-    n = f.shape[1]
-    picked = (labels - 1) * n + np.arange(n)  # flat index of each column's label
-    scores = np.zeros((f.shape[0] + 1, n))
-    scores[:-1] = f
+    n = scores.shape[1]
     shift = scores.max(axis=0)
     e = np.exp(scores - shift)
     total = e.sum(axis=0)
@@ -194,11 +193,14 @@ def _ce_and_resid(f: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]
 def _loss_and_grad(alpha: np.ndarray, k: np.ndarray, labels: np.ndarray,
                    lam: float) -> tuple[float, np.ndarray]:
     """Objective and gradient of the regularized CE from one score matrix."""
-    check_labels(labels, alpha.shape[1] + 1)
-    f = alpha.T @ k  # K is symmetric, so these are the class-major scores
-    ce, resid = _ce_and_resid(f, labels)
+    m, n = alpha.shape[1] + 1, k.shape[0]
+    check_labels(labels, m)
+    scores = np.zeros((m, n))
+    # K is symmetric, so these are the class-major free scores
+    f = np.matmul(alpha.T, k, out=scores[:-1])
+    ce, resid = _ce_and_resid(scores, (labels - 1) * n + np.arange(n))
     value = lam * float(np.sum(alpha.T * f)) + ce
-    return value, k @ (2.0 * lam * alpha + resid.T / k.shape[0])
+    return value, k @ (2.0 * lam * alpha + resid.T / n)
 
 
 def klr_objective(alpha, gram_self: GramMatrix, labels, lam: float) -> float:
@@ -272,9 +274,11 @@ def klr_fit(data, kernel: KernelParams, lam: float, trunc_t: float,
     holds; the fit stops once the beta-gradient is at most GTOL in every
     entry, or after MAX_ITER iterations.
     The fit maps back by alpha[p[:r]] = L11^-T beta', alpha = 0 elsewhere, so
-    K alpha = L beta'.  Truncation only affects prediction; at t = 1e-8 it is
-    essentially inactive on training data, so the smooth objective is
-    optimized.  An unconverged fit is returned with a RuntimeWarning.
+    K alpha = L beta'; a given factor with a zero on the diagonal of L11
+    raises LinAlgError there.  Truncation only affects prediction; at
+    t = 1e-8 it is essentially inactive on training data, so the smooth
+    objective is optimized.  An unconverged fit is returned with a
+    RuntimeWarning.
     """
     x = np.asarray(data.features, dtype=float)
     labels = np.asarray(data.labels, dtype=int)
@@ -292,9 +296,14 @@ def klr_fit(data, kernel: KernelParams, lam: float, trunc_t: float,
     pivot_labels = labels[perm]
     # the residual plus this one-hot is the M-1 free posterior rows
     onehot = (np.arange(1, m)[:, None] == pivot_labels).astype(float)
+    # every evaluation writes its free scores into one buffer; the last row
+    # stays zero, and picked indexes each column's label in it
+    scores = np.zeros((m, n))
+    picked = (pivot_labels - 1) * n + np.arange(n)
 
     def objective(beta):
-        ce, resid = _ce_and_resid(beta @ chol.T, pivot_labels)
+        np.matmul(beta, chol.T, out=scores[:-1])
+        ce, resid = _ce_and_resid(scores, picked)
         return lam * float(np.vdot(beta, beta)) + ce, resid
 
     beta = np.zeros((m - 1, rank))
@@ -318,8 +327,15 @@ def klr_fit(data, kernel: KernelParams, lam: float, trunc_t: float,
     if grad_max > GTOL:
         warnings.warn(f"klr_fit did not converge (Newton iterations {iters}, "
                       f"max |beta-gradient| {grad_max:.2e})", RuntimeWarning, stacklevel=2)
+    # L11' is upper triangular, and chol[:rank].T holds it in the Fortran
+    # order LAPACK reads without a copy
+    sol, info = dtrtrs(chol[:rank].T, beta.T, lower=0, trans=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"dtrtrs: factor is singular at diagonal {info - 1}")
+    if info < 0:
+        raise np.linalg.LinAlgError(f"dtrtrs: illegal value in argument {-info}")
     alpha = np.zeros((n, m - 1))
-    alpha[perm[:rank]] = solve_triangular(chol[:rank], beta.T, lower=True, trans="T")
+    alpha[perm[:rank]] = sol
     return KlrModel(support=x, alpha=alpha, kernel=kernel,
                     lam=lam, trunc_t=trunc_t, num_classes=m)
 

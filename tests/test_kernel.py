@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -151,3 +152,70 @@ def test_gram_matches_kernel_eval_entrywise(d, g, offset, seed):
     assert k[1, 4] == 1.0
     assert np.all(k[2] == 0.0) and np.all(ref[2] == 0.0)
     np.testing.assert_allclose(k, ref, rtol=1e-9, atol=1e-300)
+
+
+def reference_gram(rows, cols, params: KernelParams) -> GramMatrix:
+    """The reference that gram must match bit for bit: the version that built
+    the augmented operands with np.column_stack and always scanned for the
+    entries past the round-off bound."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    cols = np.atleast_2d(np.asarray(cols, dtype=float))
+    if rows.size == 0 or cols.size == 0:
+        raise ValueError("empty point set")
+    if rows.shape[1] != cols.shape[1]:
+        raise ValueError(
+            f"dimension mismatch: rows have d={rows.shape[1]}, cols d={cols.shape[1]}"
+        )
+    symmetric = rows is cols or (rows.shape == cols.shape and np.array_equal(rows, cols))
+    center = cols.mean(axis=0)
+    x = rows - center
+    y = cols - center
+    xx = np.einsum("ij,ij->i", x, x)
+    yy = xx if symmetric else np.einsum("ij,ij->i", y, y)
+    # a self-Gram adds its transpose below, so each half carries g/2
+    g = params.gamma_sq_inv / (2.0 if symmetric else 1.0)
+    s = (np.column_stack([x, xx, np.ones(len(x))])
+         @ np.column_stack([2.0 * g * y, np.full(len(y), -g), -g * yy]).T)
+    # the expansion errs by at most a few d * eps * (|x|^2 + |y|^2), times g
+    bound = 4.0 * (x.shape[1] + 2) * np.finfo(float).eps * (xx.max() + yy.max())
+    i, j = np.divmod(np.flatnonzero(s > -g * bound), s.shape[1])
+    diff = x[i] - y[j]
+    s[i, j] = -g * np.einsum("ij,ij->i", diff, diff)
+    if symmetric:
+        # the expansion's rounding is not symmetric; the sum of both halves is
+        s += s.T.copy()
+    return GramMatrix(values=np.exp(s, out=s))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([2, 20]), st.integers(1, 40), st.integers(2, 30),
+       st.floats(2.0 ** -8, 4.0), st.sampled_from([0.0, 3.0, 1e4]),
+       st.sampled_from(["cross", "symmetric", "shared-point", "far"]),
+       st.integers(0, 10_000))
+def test_gram_matches_reference_bit_for_bit(d, n_rows, n_cols, g, offset, case, seed):
+    rng = np.random.default_rng(seed)
+    shift = offset * rng.uniform(-1, 1, d)
+    cols = shift + rng.standard_normal((n_cols, d))
+    rows = shift + rng.standard_normal((n_rows, d)) * rng.uniform(0.1, 3)
+    if case == "symmetric":
+        rows = cols.copy()
+    elif case == "shared-point":
+        rows[0] = cols[-1]
+    elif case == "far":
+        # every row at least 50 from every column along the first axis
+        rows[:, 0] = cols[:, 0].max() + 50.0 + np.abs(rows[:, 0])
+    p = KernelParams(g)
+    ref = reference_gram(rows, cols, p).values
+    with mock.patch.object(np, "flatnonzero", wraps=np.flatnonzero) as scan:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = gram(rows, cols, p).values
+    assert np.array_equal(k, ref)
+    if case in ("symmetric", "shared-point"):
+        # a point repeated exactly, and off the centre of two or more
+        # columns, reaches the bound, so the scan runs
+        assert scan.call_count == 1
+        assert k[0, -1 if case == "shared-point" else 0] == 1.0
+    elif case == "far":
+        # no entry nears zero distance, so the scan is skipped
+        assert scan.call_count == 0

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 from scipy.optimize import minimize
 from scipy.special import logsumexp
 
@@ -126,6 +128,15 @@ def test_gradient_hand_case():
     assert g.ravel() == pytest.approx([-0.25, 0.25])
 
 
+def scores_and_picked(f, labels):
+    """_ce_and_resid's inputs for the class-major free scores f, (M-1, n):
+    the C-ordered scores with a zero last row and the flat index of each label."""
+    n = f.shape[1]
+    scores = np.zeros((f.shape[0] + 1, n))
+    scores[:-1] = f
+    return scores, (labels - 1) * n + np.arange(n)
+
+
 @settings(deadline=None)
 @given(st.sampled_from([2, 3, 10]).flatmap(lambda m: st.tuples(
     arrays(float, st.tuples(st.just(m - 1), st.integers(1, 20)),
@@ -140,7 +151,7 @@ def test_ce_and_resid_matches_logsumexp_softmax(case):
     ce_ref = float(np.mean(logsumexp(scores, axis=1) - scores[rows, labels - 1]))
     resid_ref = softmax_scores(scores)
     resid_ref[rows, labels - 1] -= 1.0
-    ce, resid = klr._ce_and_resid(f, labels)
+    ce, resid = klr._ce_and_resid(*scores_and_picked(f, labels))
     # log(total) cannot resolve a total within one ulp of 1, where logsumexp's
     # log1p keeps the excess, so near-zero CE is compared on the ulp scale
     np.testing.assert_allclose(ce, ce_ref, rtol=1e-14, atol=np.finfo(float).eps)
@@ -153,7 +164,59 @@ def test_ce_and_resid_rejects_nonfinite(bad):
     # at M = 2 in the one free row
     for f, labels in (([[0.5, 0.1], [bad, 0.2]], [1, 3]), ([[0.5, bad, 0.1]], [1, 2, 2])):
         with pytest.raises(ValueError, match="non-finite score"):
-            klr._ce_and_resid(np.array(f), np.array(labels))
+            klr._ce_and_resid(*scores_and_picked(np.array(f), np.array(labels)))
+
+
+def reference_ce_and_resid(f: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """The reference that _ce_and_resid must match bit for bit: the version
+    that took the free scores f, (M-1, n), and the labels, and built the
+    zero-padded scores and label index on every call."""
+    if not np.isfinite(f).all():
+        raise ValueError("non-finite score")
+    n = f.shape[1]
+    picked = (labels - 1) * n + np.arange(n)  # flat index of each column's label
+    scores = np.zeros((f.shape[0] + 1, n))
+    scores[:-1] = f
+    shift = scores.max(axis=0)
+    e = np.exp(scores - shift)
+    total = e.sum(axis=0)
+    ce = float(np.sum(np.log(total) + shift - scores.take(picked))) / n
+    e /= total
+    e.ravel()[picked] -= 1.0
+    return ce, e[:-1]
+
+
+@settings(deadline=None)
+@given(st.sampled_from([2, 3, 10]).flatmap(lambda m: st.tuples(
+    arrays(float, st.tuples(st.just(m - 1), st.integers(1, 20)),
+           elements=st.floats(-1e3, 1e3)),
+    st.lists(st.integers(1, m), min_size=20, max_size=20))))
+@example((np.array([[0.0, 2.5, -700.0, 1e3]]), [1, 2, 2, 1] * 5))
+def test_ce_and_resid_matches_reference_bit_for_bit(case):
+    f, labels = case
+    labels = np.array(labels[:f.shape[1]])
+    ce, resid = klr._ce_and_resid(*scores_and_picked(f, labels))
+    ce_ref, resid_ref = reference_ce_and_resid(f, labels)
+    assert ce == ce_ref
+    assert np.array_equal(resid, resid_ref)
+
+
+@pytest.mark.parametrize("m", [2, 3, 10])
+def test_ce_and_resid_residual_survives_buffer_reuse(m):
+    # klr_fit writes every evaluation's scores into one buffer and keeps the
+    # residual of the last accepted step; a later evaluation must not move it
+    rng = np.random.default_rng(m)
+    n = 9
+    labels = np.r_[np.arange(1, m + 1), rng.integers(1, m + 1, n)][:n]
+    scores, picked = scores_and_picked(rng.standard_normal((m - 1, n)), labels)
+    ce, resid = klr._ce_and_resid(scores, picked)
+    kept = resid.copy()
+    assert not np.shares_memory(resid, scores)
+    scores[:-1] = 5.0 * rng.standard_normal((m - 1, n))
+    ce_next, resid_next = klr._ce_and_resid(scores, picked)
+    assert np.array_equal(resid, kept)
+    assert ce_next != ce and not np.array_equal(resid_next, kept)
+    assert np.array_equal(scores[-1], np.zeros(n))
 
 
 def test_objective_convex():
@@ -243,7 +306,7 @@ def factor_objective_and_gradient(data, kernel, lam, alpha):
 
     def fun(flat):
         b = flat.reshape(beta.shape)
-        ce, resid = klr._ce_and_resid((chol @ b).T, labels)
+        ce, resid = klr._ce_and_resid(*scores_and_picked((chol @ b).T, labels))
         grad = chol.T @ (resid.T / len(labels)) + 2.0 * lam * b
         return lam * float(np.sum(b * b)) + ce, grad.ravel()
 
@@ -351,6 +414,49 @@ def test_fit_on_given_factor_bit_equal(m, duplicated):
     assert (chol.shape[1] < len(data.labels)) is duplicated
     given = klr_fit(data, kernel, 0.01, 1e-8, factor=(chol, perm))
     assert np.array_equal(given.alpha, klr_fit(data, kernel, 0.01, 1e-8).alpha)
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e-2, 1.0, 1e2, 1e4])
+@pytest.mark.parametrize("m, duplicated", [(2, False), (3, False), (5, False), (3, True)],
+                         ids=["M2", "M3", "M5", "M3-duplicate-points"])
+def test_back_solve_matches_solve_triangular(monkeypatch, m, duplicated, c):
+    # the alpha of klr_fit equals the one scipy.linalg.solve_triangular gives
+    # for the same factor and beta, bit for bit
+    calls = []
+
+    def spy(a, b, **kwargs):
+        calls.append((a.copy(), b.copy()))
+        return dtrtrs(a, b, **kwargs)
+
+    data = class_draw(m, duplicated, n=20, seed=m)
+    n = len(data.labels)
+    chol, perm = pivoted_factor(data.features, KernelParams(0.5))
+    rank = chol.shape[1]
+    assert (rank < n) is duplicated
+    monkeypatch.setattr(klr, "dtrtrs", spy)
+    model = klr_fit(data, KernelParams(0.5), 1.0 / (c * n), 1e-8)
+    (upper, beta_t), = calls
+    assert np.array_equal(upper.T, chol[:rank])
+    ref = solve_triangular(chol[:rank], beta_t, lower=True, trans="T")
+    assert np.array_equal(model.alpha[perm[:rank]], ref)
+    assert not model.alpha[np.setdiff1d(np.arange(n), perm[:rank])].any()
+
+
+def test_fit_on_singular_factor_raises():
+    # a caller-supplied factor with an exactly zero diagonal entry in L11
+    # cannot be back-solved: LAPACK reports it and the fit raises, as
+    # solve_triangular did
+    data = class_draw(3, False)
+    chol, perm = pivoted_factor(data.features, KernelParams(0.5))
+    chol[4, 4] = 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="singular at diagonal 4"):
+        klr_fit(data, KernelParams(0.5), 0.01, 1e-8, factor=(chol, perm))
+
+
+def test_fit_back_solve_illegal_argument_raises(monkeypatch):
+    monkeypatch.setattr(klr, "dtrtrs", lambda a, b, **kwargs: (b, -2))
+    with pytest.raises(np.linalg.LinAlgError, match="illegal value in argument 2"):
+        klr_fit(class_draw(2, False), KernelParams(0.5), 0.01, 1e-8)
 
 
 def test_fit_rejects_factor_of_other_rows():
