@@ -7,7 +7,6 @@ w >= 0, starting from the no-shift point w = 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +16,8 @@ from .klr import ARMIJO, T_MIN, check_simplex
 
 FLOOR_S = 1e-12  # floor on each target point's denominator sum_m w_m p(m|x)
 MAX_ITER = 1000  # projected Newton iteration cap of cpm_solve
-ANGLE = 1e-8     # least cosine between a Newton step and -g
 ROUND = 8 * np.finfo(float).eps  # bound on f's rounding error per |r| (|p_hat| + |mean a|)
+EIG_FLOOR = 1e-12  # least |eigenvalue| of cpm_solve's Newton model, relative to the largest
 
 
 @dataclass(frozen=True)
@@ -101,30 +100,35 @@ def cpm_gradient(problem: MatchProblem, w) -> np.ndarray:
     return _products(buf, r)[2]
 
 
-def _newton_step(jac: np.ndarray, curv: np.ndarray, r: np.ndarray, g: np.ndarray,
+def _newton_step(jac: np.ndarray, curv: np.ndarray, g: np.ndarray,
                  free: np.ndarray) -> np.ndarray:
     """Newton direction on the free coordinates, zero on the others.
 
     For g = 2 J r the exact Hessian is H = 2 (J^2 - 2 curv), where
-    curv = (a (r'a)) a' / n_q is the residual's curvature term.  The other
-    coordinates are pinned by identity rows, so one M x M solve gives the
-    free block's step.  Where that block is singular, or its step is no
-    descent direction within the cosine ANGLE of -g, the Gauss-Newton step
-    replaces it: the least-squares solution of J_F d = -r, from a solve that
-    never raises and squares no condition number.
+    curv = (a (r'a)) a' / n_q is the residual's curvature term.  The step
+    solves the free block of H with each eigenvalue lambda replaced by
+    max(|lambda|, EIG_FLOOR * max |lambda|) (Nocedal and Wright, sec. 3.4),
+    so it descends even where H is indefinite or singular.  Nearly equal
+    target rows leave H eigenvalues 1e-16 to 1e-12 times the largest; an
+    unmodified Newton or Gauss-Newton step along them is of order 1e4 to
+    1e8, and the arc search cuts it to almost nothing on every iteration.
+    A floor of sqrt(eps) would shorten steps along true curvatures of
+    1e-11 times the largest, and the solve would crawl along such a valley.
     """
     h = 2.0 * (jac @ jac - 2.0 * curv)
-    gf = g
-    if not free.all():
-        gf = np.where(free, g, 0.0)
-        h = np.where(np.outer(free, free), h, np.diag(~free))
-    try:
-        d = np.linalg.solve(h, -gf)
-        if gf @ d < -ANGLE * math.sqrt(float(gf @ gf) * float(d @ d)):
-            return d
-    except np.linalg.LinAlgError:
-        pass
-    return np.where(free, np.linalg.lstsq(jac * free, -r)[0], 0.0)
+    if free.all():
+        return _floored_solve(h, g)
+    idx = np.flatnonzero(free)
+    d = np.zeros_like(g)
+    d[idx] = _floored_solve(h[np.ix_(idx, idx)], g[idx])
+    return d
+
+
+def _floored_solve(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """-h^-1 g, with h's eigenvalues replaced by max(|lambda|, EIG_FLOOR max |lambda|)."""
+    lam, v = np.linalg.eigh(h)
+    lam = np.abs(lam)
+    return v @ ((g @ v) / -np.maximum(lam, EIG_FLOOR * lam.max()))
 
 
 def cpm_solve(problem: MatchProblem) -> np.ndarray:
@@ -132,7 +136,8 @@ def cpm_solve(problem: MatchProblem) -> np.ndarray:
 
     Each iteration frees every coordinate that is positive or that the
     gradient does not push below zero, takes the Newton direction on them
-    (Bertsekas 1982), and backtracks along the projection arc
+    (Bertsekas 1982) from a Hessian with its eigenvalues kept positive and
+    away from zero, and backtracks along the projection arc
     max(w + t d, 0) until the Armijo condition holds up to the objective's
     rounding error.  It stops when no free direction descends (the KKT
     conditions hold to round-off), or after a full step whose projected
@@ -162,7 +167,7 @@ def cpm_solve(problem: MatchProblem) -> np.ndarray:
     for _ in range(MAX_ITER):
         jac, curv, g = _products(buf, r)
         free = (w > 0) | (g <= 0)
-        d = _newton_step(jac, curv, r, g, free)
+        d = _newton_step(jac, curv, g, free)
         slope = g @ d
         if not slope < 0:
             break  # no free direction descends: the KKT conditions hold

@@ -240,6 +240,42 @@ def test_solve_ends_at_a_local_minimum(problem):
     assert kkt_violation(problem, w) <= 1e-8
 
 
+# Near-degenerate problems that hypothesis drew: nearly equal target rows
+# leave J singular values 1e-9 to 1e-4 times the largest.  Unmodified Newton
+# and Gauss-Newton steps stall on the first three (KKT violations 2e-8 to
+# 5e-7, L-BFGS-B from the answer lower by up to 8e-14), a Gauss-Newton step
+# without J's smallest singular value on the fourth, and a sqrt(eps)
+# eigenvalue floor on the last two.
+NEAR_DEGENERATE = {
+    "rows-a": ((0.96969697, 0.01515152, 0.01515152),
+               [(0.16, 0.64, 0.2), (0.15151515, 0.64646465, 0.2020202),
+                (0.43243243, 0.00540541, 0.56216216)]),
+    "rows-b": ((0.98084291, 0.00957854, 0.00957854),
+               [(0.16, 0.64, 0.2), (0.15151515, 0.64646465, 0.2020202),
+                (0.43357614, 0.00277489, 0.56364898)]),
+    "rows-c": ((0.97709924, 0.01145038, 0.01145038),
+               [(0.22920518, 0.47319778, 0.29759704)] * 2
+               + [(0.17950266, 0.54699823, 0.27349911), (0.42736916, 0.00280529, 0.56982555)]),
+    "rows-d": ((0.97709924, 0.01145038, 0.01145038),
+               [(0.22920518, 0.47319778, 0.29759704)] * 2
+               + [(0.15, 0.64, 0.21), (0.42736916, 0.00280529, 0.56982555)]),
+    "valley-a": ((0.49902534, 0.00194932, 0.49902534),
+                 [(0.4995122, 0.00097561, 0.4995122)] * 2 + [(0.30769231, 0.34615385, 0.34615385)]),
+    "valley-b": ((0.49902534, 0.00194932, 0.49902534),
+                 [(0.30769231, 0.34615385, 0.34615385), (0.4995122, 0.00097561, 0.4995122)]),
+}
+
+
+@pytest.mark.parametrize("p_hat, rows", NEAR_DEGENERATE.values(), ids=NEAR_DEGENERATE.keys())
+def test_solve_ends_at_a_local_minimum_on_near_degenerate_rows(p_hat, rows):
+    rows = np.array(rows)
+    problem = MatchProblem(p_hat=np.divide(p_hat, sum(p_hat)),
+                           target_probs=rows / rows.sum(axis=1, keepdims=True))
+    w = cpm_solve(problem)
+    assert cpm_objective(problem, w) <= lbfgsb_objective(problem, w) + 1e-15
+    assert kkt_violation(problem, w) <= 1e-8
+
+
 def test_solve_never_worse_than_start():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -266,9 +302,8 @@ def test_solve_monotone_iterates():
 
 
 def test_solve_near_singular_hessian():
-    # two distinct rows in M = 9: from w0 = 1 the Newton and Gauss-Newton
-    # steps are of order 1e16 and fail the line search, so the solve needs
-    # its projected-gradient step to reach the minimum
+    # two distinct rows in M = 9: from w0 = 1 an unmodified Newton or
+    # Gauss-Newton step is of order 1e16 and fails the line search
     a = np.array([0.169216, 0.110899, 0.109188, 0.090747, 0.113213, 0.185973,
                   0.009689, 0.185971, 0.025105])
     b = np.array([0.17084, 0.111963, 0.110235, 0.091618, 0.114299, 0.187757,
