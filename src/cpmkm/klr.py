@@ -190,6 +190,14 @@ def _ce_and_resid(scores: np.ndarray, picked: np.ndarray) -> tuple[float, np.nda
     return ce, e[:-1]
 
 
+def _uniform_start(onehot: np.ndarray) -> tuple[float, np.ndarray]:
+    """_ce_and_resid at zero scores, bit for bit, in closed form: every
+    posterior is 1/M, so the CE is log M, summed pairwise over the n columns
+    as _ce_and_resid sums it, and the residual is 1/M - one-hot."""
+    m, n = onehot.shape[0] + 1, onehot.shape[1]
+    return float(np.sum(np.full(n, np.log(float(m))))) / n, 1.0 / m - onehot
+
+
 def _loss_and_grad(alpha: np.ndarray, k: np.ndarray, labels: np.ndarray,
                    lam: float) -> tuple[float, np.ndarray]:
     """Objective and gradient of the regularized CE from one score matrix."""
@@ -254,7 +262,8 @@ def _newton_direction(chol: np.ndarray, probs: np.ndarray, lam: float,
         d += step * p
         r -= step * hp
         rr, rr_old = float(np.vdot(r, r)), rr
-        p = r + (rr / rr_old) * p
+        p *= rr / rr_old
+        p += r
     return d
 
 
@@ -268,7 +277,8 @@ def klr_fit(data, kernel: KernelParams, lam: float, trunc_t: float,
     penalty lam * ||beta||^2 the objective equals the alpha-space one, but
     its Hessian is well conditioned.  Scores, posteriors, residual, one-hot,
     beta and its gradient all keep one row per free class, so each reduction
-    over the classes adds a few contiguous rows.  From beta = 0 each Newton
+    over the classes adds a few contiguous rows.  From beta = 0, where the CE
+    and residual are known in closed form (_uniform_start), each Newton
     iteration solves for its direction by CG on the exact Hessian-vector
     product (_newton_direction) and backtracks until the Armijo condition
     holds; the fit stops once the beta-gradient is at most GTOL in every
@@ -307,7 +317,7 @@ def klr_fit(data, kernel: KernelParams, lam: float, trunc_t: float,
         return lam * float(np.vdot(beta, beta)) + ce, resid
 
     beta = np.zeros((m - 1, rank))
-    value, resid = objective(beta)
+    value, resid = _uniform_start(onehot)
     for iters in range(MAX_ITER + 1):
         grad = (resid / n) @ chol + 2.0 * lam * beta
         grad_max = np.abs(grad).max()
@@ -386,21 +396,24 @@ def cv_select(data, cv_grid: CvGrid, seed: int) -> CvSelection:
     for idx in shuffled_class_indices(labels, rng):
         assignment[idx] = np.arange(len(idx)) % cv_grid.folds
 
+    # per fold: the training rows and their count, the validation rows and
+    # the (row, label) index of their posteriors, shared by every (C, g)
+    splits = []
+    for fold in range(cv_grid.folds):
+        val = assignment == fold
+        tr = ~val
+        splits.append((data.subset(tr), tr.sum(), data.features[val],
+                       (np.arange(val.sum()), labels[val] - 1)))
     # the training Gram and its factor depend on g and the fold, not on C
     ce = np.empty((len(cv_grid.c_values), len(cv_grid.g_values), cv_grid.folds))
     for j, g in enumerate(cv_grid.g_values):
         kernel = KernelParams(g)
-        for fold in range(cv_grid.folds):
-            val = assignment == fold
-            tr = ~val
-            sub = data.subset(tr)
+        for fold, (sub, n_tr, x_val, picked) in enumerate(splits):
             factor = pivoted_factor(sub.features, kernel)
             for i, c in enumerate(cv_grid.c_values):
-                lam = 1.0 / (c * tr.sum())
-                model = klr_fit(sub, kernel, lam, cv_grid.trunc_t, factor=factor)
-                probs = klr_predict(model, data.features[val])
-                picked = probs[np.arange(val.sum()), labels[val] - 1]
-                ce[i, j, fold] = np.mean(-np.log(picked))
+                model = klr_fit(sub, kernel, 1.0 / (c * n_tr), cv_grid.trunc_t,
+                                factor=factor)
+                ce[i, j, fold] = np.mean(-np.log(klr_predict(model, x_val)[picked]))
     table = [(c, g, float(np.mean(ce[i, j])))
              for i, c in enumerate(cv_grid.c_values) for j, g in enumerate(cv_grid.g_values)]
 

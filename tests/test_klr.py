@@ -219,6 +219,22 @@ def test_ce_and_resid_residual_survives_buffer_reuse(m):
     assert np.array_equal(scores[-1], np.zeros(n))
 
 
+@settings(deadline=None)
+@given(st.integers(2, 10), st.integers(1, 500), st.booleans(), st.integers(0, 2 ** 32 - 1))
+@example(2, 1, True, 0)
+@example(3, 3, False, 0)
+def test_uniform_start_matches_ce_and_resid_on_zero_scores(m, n, last_class_only, seed):
+    # klr_fit starts at beta = 0 from _uniform_start instead of evaluating
+    # the zero scores; both must give the same CE and residual bit for bit
+    labels = (np.full(n, m) if last_class_only
+              else np.random.default_rng(seed).integers(1, m + 1, n))
+    onehot = (np.arange(1, m)[:, None] == labels).astype(float)
+    ce, resid = klr._uniform_start(onehot)
+    ce_ref, resid_ref = klr._ce_and_resid(*scores_and_picked(np.zeros((m - 1, n)), labels))
+    assert ce == ce_ref
+    assert np.array_equal(resid, resid_ref)
+
+
 def test_objective_convex():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((6, 2))
@@ -334,6 +350,52 @@ def test_newton_direction_meets_forcing_term(m, duplicated, scale):
     assert d.shape == grad.shape
     g = np.linalg.norm(grad)
     assert np.linalg.norm(hess @ d.ravel() + grad.ravel()) <= min(0.5, np.sqrt(g)) * g
+
+
+def reference_newton_direction(chol, probs, lam, grad):
+    """The reference that _newton_direction must match bit for bit: the
+    version that built a new search direction p = r + (rr / rr_old) p on
+    every CG step."""
+    n = chol.shape[0]
+
+    def hess_vec(v):
+        pu = probs * (v @ chol.T)
+        return ((pu - probs * pu.sum(axis=0)) / n) @ chol + 2.0 * lam * v
+
+    d = np.zeros_like(grad)
+    r = -grad
+    p = r.copy()
+    rr = float(np.vdot(r, r))
+    stop = min(0.25, np.sqrt(rr)) * rr  # (min(0.5, |grad|^0.5) |grad|)^2
+    for _ in range(grad.size):
+        if rr <= stop:
+            break
+        hp = hess_vec(p)
+        step = rr / float(np.vdot(p, hp))
+        d += step * p
+        r -= step * hp
+        rr, rr_old = float(np.vdot(r, r)), rr
+        p = r + (rr / rr_old) * p
+    return d
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 5), st.integers(2, 40), st.booleans(), st.floats(-6, 3),
+       st.integers(0, 2 ** 32 - 1))
+@example(3, 30, False, -6.0, 0)
+@example(3, 30, True, 3.0, 1)
+def test_newton_direction_matches_reference_bit_for_bit(m, n, duplicated, log_lam, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 2))
+    if duplicated:
+        x = np.r_[x, x[:n // 2 + 1]]
+    chol = pivoted_factor(x, KernelParams(2.0 ** rng.uniform(-6, 0)))[0]
+    scores = np.hstack([3.0 * rng.standard_normal((len(x), m - 1)), np.zeros((len(x), 1))])
+    probs = np.ascontiguousarray(softmax_scores(scores)[:, :-1].T)
+    grad = 10.0 ** rng.uniform(-8, 0) * rng.standard_normal((m - 1, chol.shape[1]))
+    lam = 10.0 ** log_lam
+    d = klr._newton_direction(chol, probs, lam, grad)
+    assert np.array_equal(d, reference_newton_direction(chol, probs, lam, grad))
 
 
 @pytest.mark.parametrize("c", [1e-6, 1e-3, 1.0, 1e2, 1e4])
@@ -623,6 +685,52 @@ def test_cv_matches_per_cell_fits(m):
     sel = cv_select(data, grid, seed=7)
     assert sel.table == table
     assert (sel.c, sel.kernel.gamma_sq_inv) == (c_star, g_star)
+    assert np.array_equal(sel.model.alpha, model.alpha)
+
+
+def reference_cv_select(data, cv_grid, seed):
+    """The reference that cv_select must match bit for bit: the version that
+    built the fold's training size, validation rows and (row, label) index
+    once per C, inside the loop over C.  Returns the table, C*, g* and model."""
+    labels = np.asarray(data.labels, dtype=int)
+    n = len(labels)
+    rng = np.random.default_rng(seed)
+    assignment = np.empty(n, dtype=int)
+    for idx in shuffled_class_indices(labels, rng):
+        assignment[idx] = np.arange(len(idx)) % cv_grid.folds
+
+    ce = np.empty((len(cv_grid.c_values), len(cv_grid.g_values), cv_grid.folds))
+    for j, g in enumerate(cv_grid.g_values):
+        kernel = KernelParams(g)
+        for fold in range(cv_grid.folds):
+            val = assignment == fold
+            tr = ~val
+            sub = data.subset(tr)
+            factor = pivoted_factor(sub.features, kernel)
+            for i, c in enumerate(cv_grid.c_values):
+                lam = 1.0 / (c * tr.sum())
+                model = klr_fit(sub, kernel, lam, cv_grid.trunc_t, factor=factor)
+                probs = klr_predict(model, data.features[val])
+                picked = probs[np.arange(val.sum()), labels[val] - 1]
+                ce[i, j, fold] = np.mean(-np.log(picked))
+    table = [(c, g, float(np.mean(ce[i, j])))
+             for i, c in enumerate(cv_grid.c_values) for j, g in enumerate(cv_grid.g_values)]
+
+    best = min(table, key=lambda row: (row[2], row[0], row[1]))
+    c_star, g_star = best[0], best[1]
+    model = klr_fit(data, KernelParams(g_star), 1.0 / (c_star * n), cv_grid.trunc_t)
+    return tuple(table), c_star, g_star, model
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_cv_matches_reference_loop(seed):
+    data = cluster_draw(3, seed=seed + 3)
+    grid = CvGrid(c_values=(1e-6, 1e-2, 1.0), g_values=(0.125, 1.0), folds=4)
+    table, c_star, g_star, model = reference_cv_select(data, grid, seed)
+    sel = cv_select(data, grid, seed)
+    assert sel.table == table
+    assert (sel.c, sel.kernel.gamma_sq_inv, sel.lam) == (c_star, g_star,
+                                                        1.0 / (c_star * len(data.labels)))
     assert np.array_equal(sel.model.alpha, model.alpha)
 
 
