@@ -17,14 +17,46 @@ selected by stratified k-fold cross-validation on the truncated CE loss.
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 
 import numpy as np
-from scipy.linalg.lapack import dpstrf, dtrtrs
+import scipy
 
 from .data import check_labels, shuffled_class_indices
 from .kernel import GramMatrix, KernelParams, gram
+
+
+def _load_flapack():
+    """scipy's LAPACK extension, loaded without running `scipy.linalg/__init__`.
+
+    That package init (array-API shims, numpy.testing, numpy.ma) is most of the
+    start-up cost of the CLI, and the fit needs only two routines from the
+    extension.  It is registered under its own name, so a later
+    `import scipy.linalg` reuses it and exports the very same routines.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    directory = os.path.join(scipy.__path__[0], "linalg")
+    finder = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec(name)
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack not found in {directory}",
+                          name=name)
+    module = module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dpstrf = _flapack.dpstrf  # pivoted Cholesky of the Gram
+dtrtrs = _flapack.dtrtrs  # triangular back-solve of the factor coefficients
 
 MODEL_FORMAT_VERSION = 1
 GTOL = 1e-6  # klr_fit stops once the factor-coefficient gradient is this small

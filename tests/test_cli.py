@@ -287,14 +287,15 @@ def test_adapt_two_classes_one_target_row_document(tmp_path):
     assert [3, 7][predicted[0] - 1] == label
 
 
-def modules_loaded_by_cli_import(prefix):
+def modules_loaded_by_cli_import(prefix, then=""):
     """Names starting with `prefix` in sys.modules after a fresh interpreter
-    runs `import cpmkm.cli`."""
-    code = f"import sys, cpmkm.cli; print([m for m in sys.modules if m.startswith({prefix!r})])"
+    runs `import cpmkm.cli` and then the statements `then`."""
     src = str(Path(cpmkm.__file__).resolve().parents[1])
-    res = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); "
-                          + code], capture_output=True, text=True, check=True)
-    return res.stdout.strip()
+    code = "\n".join([f"import sys; sys.path.insert(0, {src!r})", "import cpmkm.cli", then,
+                      f"print([m for m in sys.modules if m.startswith({prefix!r})])"])
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    return res.stdout.splitlines()[-1]
 
 
 def test_import_cli_skips_selftest():
@@ -304,6 +305,26 @@ def test_import_cli_skips_selftest():
 def test_import_cli_skips_scipy_optimize():
     # the KLR and CPM solvers are numpy loops: starting the CLI loads no optimizer
     assert modules_loaded_by_cli_import("scipy.optimize") == "[]"
+
+
+def test_import_cli_skips_scipy_linalg_init():
+    # klr.py loads the LAPACK extension by itself, not through scipy.linalg
+    assert modules_loaded_by_cli_import("scipy.linalg") == "['scipy.linalg._flapack']"
+
+
+def test_adapt_run_skips_scipy_linalg_init(pool_csv, tmp_path):
+    # the import cost is removed, not deferred to the first fit
+    lines = pool_csv.read_text().splitlines()
+    (tmp_path / "source.csv").write_text("\n".join(lines[:61]) + "\n")
+    (tmp_path / "target.csv").write_text(
+        "\n".join(line.rpartition(",")[0] for line in [lines[0], *lines[61:101]]) + "\n")
+    out = tmp_path / "adapted.json"
+    args = ["adapt", "--source", str(tmp_path / "source.csv"),
+            "--target", str(tmp_path / "target.csv"), "--out", str(out),
+            "--c-grid", "1", "--g-grid", "1", "--folds", "2"]
+    then = f"cpmkm.cli.main.main({args!r}, standalone_mode=False)"
+    assert modules_loaded_by_cli_import("scipy.linalg", then) == "['scipy.linalg._flapack']"
+    assert len(json.loads(out.read_text())["target_labels"]) == 40
 
 
 BAD_INPUTS = {

@@ -1,7 +1,10 @@
 import json
+import re
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -519,6 +522,20 @@ def test_fit_back_solve_illegal_argument_raises(monkeypatch):
     monkeypatch.setattr(klr, "dtrtrs", lambda a, b, **kwargs: (b, -2))
     with pytest.raises(np.linalg.LinAlgError, match="illegal value in argument 2"):
         klr_fit(class_draw(2, False), KernelParams(0.5), 0.01, 1e-8)
+
+
+def test_lapack_routines_are_scipys():
+    # klr.py loads the extension scipy.linalg.lapack exports them from
+    assert klr.dpstrf is scipy.linalg.lapack.dpstrf
+    assert klr.dtrtrs is scipy.linalg.lapack.dtrtrs
+    assert klr._load_flapack() is sys.modules["scipy.linalg._flapack"]
+
+
+def test_flapack_loader_names_missing_directory(monkeypatch, tmp_path):
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+        klr._load_flapack()
 
 
 def test_fit_rejects_factor_of_other_rows():
