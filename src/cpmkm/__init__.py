@@ -7,7 +7,7 @@ from .baselines import (ConfusionMatrix, bbse_solve, confusion_estimate,
 from .cpm import (MatchProblem, cpm_gradient, cpm_objective, cpm_solve,
                   empirical_class_probs, reweighted_target_probs)
 from .data import Dataset, load_csv
-from .kernel import GramMatrix, KernelParams, gram, kernel_eval
+from .kernel import GramMatrix, KernelParams, gram
 from .klr import (CvGrid, CvSelection, KlrModel, cv_select, klr_fit,
                   klr_gradient, klr_objective, klr_predict, softmax_scores,
                   truncate_simplex)

@@ -1,4 +1,4 @@
-"""Gaussian RBF kernel evaluation and dense Gram matrices."""
+"""Gaussian RBF kernel parameters and dense Gram matrices."""
 
 from __future__ import annotations
 
@@ -24,15 +24,6 @@ class KernelParams:
 @dataclass(frozen=True)
 class GramMatrix:
     values: np.ndarray
-
-
-def kernel_eval(x, y, params: KernelParams) -> float:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    d2 = float(np.sum((x - y) ** 2))
-    return float(np.exp(-params.gamma_sq_inv * d2))
 
 
 def gram(rows, cols, params: KernelParams) -> GramMatrix:

@@ -7,7 +7,7 @@ import numpy as np
 from . import cpm, klr
 from .adapt import reweight_posterior
 from .baselines import _class_major_ratio, _em_map, _mean_log_lik, mlls_em
-from .kernel import KernelParams, gram, kernel_eval
+from .kernel import KernelParams, gram
 
 
 def _random_simplex(rng, shape):
@@ -89,8 +89,9 @@ def check_identities(rng) -> bool:
     if not np.allclose(reweight_posterior(row, np.ones(m)), row):
         return False
     # kernel symmetry and boundedness
-    x, y = rng.standard_normal(3), rng.standard_normal(3)
-    k1, k2 = kernel_eval(x, y, KernelParams(0.9)), kernel_eval(y, x, KernelParams(0.9))
+    x, y = rng.standard_normal((1, 3)), rng.standard_normal((1, 3))
+    p = KernelParams(0.9)
+    k1, k2 = gram(x, y, p).values[0, 0], gram(y, x, p).values[0, 0]
     return k1 == k2 and 0 < k1 <= 1
 
 

@@ -47,8 +47,8 @@ class ShiftSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not (np.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if self.m_q < 1:
             raise ValueError("m_q must be at least 1")
         if min(self.n_p, self.n_q, self.n_t) < 1:
@@ -69,14 +69,6 @@ class EvalReport:
     def to_dict(self):
         # shallow: asdict would deep-copy every tuple of every report
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-def dirichlet_sample(alpha: float, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Dirichlet(alpha * 1) via normalized independent Gamma(alpha, 1) draws."""
-    g = rng.gamma(alpha, 1.0, size=size)
-    while g.sum() <= 0:  # all-zero draw is possible for tiny alpha
-        g = rng.gamma(alpha, 1.0, size=size)
-    return g / g.sum()
 
 
 def _uniform_source_counts(n_p: int, m: int) -> np.ndarray:
@@ -118,8 +110,8 @@ def sample_target_test(pool: Dataset, spec: ShiftSpec, seed: tuple,
         raise ValueError(f"m_q={spec.m_q} exceeds class count {m}")
     support = _rng(seed, _STREAM_CLASS_CHOICE).choice(m, size=spec.m_q, replace=False)
     q_true = np.zeros(m)
-    q_true[np.sort(support)] = dirichlet_sample(
-        spec.alpha, spec.m_q, _rng(seed, _STREAM_DIRICHLET))
+    q_true[np.sort(support)] = _rng(seed, _STREAM_DIRICHLET).dirichlet(
+        np.full(spec.m_q, spec.alpha))
 
     available = np.ones(len(pool), dtype=bool)
     available[exclude] = False

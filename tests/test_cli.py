@@ -184,6 +184,54 @@ def test_nonfinite_grid_rejected_before_any_fit(scenario, monkeypatch, c_grid, g
     assert res.stderr == "error: grid values must be positive and finite\n"
 
 
+@pytest.mark.parametrize("command", ["simulate", "benchmark"])
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_nonfinite_alpha_rejected_before_any_fit(pool_csv, tmp_path, monkeypatch,
+                                                 command, alpha):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("klr_fit called")
+
+    monkeypatch.setattr(klr, "klr_fit", no_fit)
+    monkeypatch.chdir(tmp_path)  # default output paths in tmp_path
+    res = run(command, "--pool", pool_csv, f"--alpha={alpha}")
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert res.stderr.startswith("error: alpha must be positive and finite")
+    assert list(tmp_path.iterdir()) == []
+
+
+TINY_ALPHA_RUNS = {
+    "simulate": ["--out-dir", "out"],
+    "benchmark": ["--methods", "cpmkm,bbse", "--source-reps", "1", "--target-reps", "3",
+                  "--out", "benchmark.json", *FAST],
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "benchmark"])
+@pytest.mark.parametrize("alpha", ["1e-300", "1e-12"])
+def test_tiny_alpha_exits_with_one_hot_q_true(pool_csv, tmp_path, command, alpha):
+    # every Gamma(alpha) variate of the draw underflows to zero; a sampler
+    # that redraws until one is positive never returns, and times out here
+    src = str(Path(cpmkm.__file__).resolve().parents[1])
+    res = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); "
+         "from cpmkm.cli import main; main()", command, "--pool", str(pool_csv),
+         "--np", "150", "--nq", "100", "--nt", "30", "--alpha", alpha, "--seed", "2",
+         *TINY_ALPHA_RUNS[command]],
+        cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    if command == "simulate":
+        q_true = json.loads((tmp_path / "out" / "q_true.json").read_text())["q_true"]
+        labels = np.loadtxt(tmp_path / "out" / "test.csv", delimiter=",", skiprows=1)[:, -1]
+        assert set(labels) == {np.argmax(q_true) + 1}
+        draws = [q_true]
+    else:
+        reports = json.loads((tmp_path / "benchmark.json").read_text())["reports"]
+        draws = [r["q_true"] for r in reports]
+        assert len(draws) == 6
+    for q_true in draws:
+        assert sorted(q_true) == [0.0, 0.0, 1.0]
+
+
 def test_numerical_failure_exits_2(scenario, monkeypatch):
     def singular(*args):
         raise np.linalg.LinAlgError("singular matrix")
@@ -337,6 +385,7 @@ BAD_INPUTS = {
     "report.json": '{"spec": {"n_q": 80}, "aggregate": [1]}',
     "pool34.csv": "x0,label\n0.1,3\n0.2,3\n0.3,4\n0.4,4\n",
     "target2.csv": "x0,x1\n0.1,0.2\n0.3,0.4\n",
+    "empty.csv": "",
 }
 
 
@@ -360,6 +409,8 @@ BAD_INPUTS = {
       "--q-true", "missing.json"], "--q-true requires --q-hat"),
     (["adapt", "--source", "POOL", "--target", "target2.csv", "--folds", "1"],
      "folds must be >= 2"),
+    (["adapt", "--source", "empty.csv", "--target", "target2.csv"],
+     "empty.csv: empty file"),
     (["benchmark", "--pool", "POOL", "--config", "missing.json"],
      "cannot read config missing.json"),
     (["benchmark", "--pool", "POOL", "--config", "list.json"],
@@ -371,7 +422,7 @@ BAD_INPUTS = {
 ], ids=["adapt-label", "benchmark-label", "benchmark-no-method", "benchmark-mq-0",
         "simulate-mq-0", "simulate-missing", "evaluate-label", "evaluate-two-columns",
         "evaluate-no-key", "evaluate-list", "evaluate-q-hat-only",
-        "evaluate-q-true-only", "adapt-folds-1",
+        "evaluate-q-true-only", "adapt-folds-1", "adapt-empty-file",
         "config-missing", "config-list", "plot-data-aggregate-list",
         "simulate-class-value"])
 def test_malformed_input_exits_1(pool_csv, tmp_path, monkeypatch, args, fragment):

@@ -7,24 +7,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cpmkm.kernel import GramMatrix, KernelParams, gram, kernel_eval
+from cpmkm.kernel import GramMatrix, KernelParams, gram
 
 finite_vec = arrays(np.float64, 3, elements=st.floats(-5, 5))
 
 
+def kernel_eval(x, y, params: KernelParams) -> float:
+    """The direct formula exp(-g ||x - y||^2), the reference gram is held to."""
+    diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    return float(np.exp(-params.gamma_sq_inv * np.sum(diff ** 2)))
+
+
+def k(x, y, params: KernelParams) -> float:
+    """gram's one entry for the single points x and y."""
+    return float(gram([x], [y], params).values[0, 0])
+
+
 def test_zero_distance_is_one():
     x = np.array([1.2, -0.4])
-    assert kernel_eval(x, x, KernelParams(3.7)) == 1.0
+    assert k(x, x, KernelParams(3.7)) == 1.0
 
 
 def test_direct_evaluation():
-    assert kernel_eval([0, 0], [1, 0], KernelParams(1.0)) == pytest.approx(np.exp(-1))
-    assert kernel_eval([0, 0], [2, 0], KernelParams(0.25)) == pytest.approx(np.exp(-1))
+    assert k([0, 0], [1, 0], KernelParams(1.0)) == pytest.approx(np.exp(-1))
+    assert k([0, 0], [2, 0], KernelParams(0.25)) == pytest.approx(np.exp(-1))
 
 
 def test_dimension_mismatch():
-    with pytest.raises(ValueError):
-        kernel_eval([0, 0], [0, 0, 0], KernelParams(1.0))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        k([0, 0], [0, 0, 0], KernelParams(1.0))
 
 
 def test_invalid_params():
@@ -36,12 +47,12 @@ def test_invalid_params():
 @given(finite_vec, finite_vec)
 def test_symmetry(x, y):
     p = KernelParams(0.8)
-    assert kernel_eval(x, y, p) == kernel_eval(y, x, p)
+    assert k(x, y, p) == k(y, x, p)
 
 
 @given(finite_vec, finite_vec)
 def test_bounded(x, y):
-    v = kernel_eval(x, y, KernelParams(1.3))
+    v = k(x, y, KernelParams(1.3))
     assert 0 < v <= 1
     if not np.array_equal(x, y):
         assert v < 1 or np.allclose(x, y)

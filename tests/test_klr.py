@@ -1,6 +1,7 @@
 import json
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -314,6 +315,42 @@ def test_fit_unconverged_warns(monkeypatch):
     monkeypatch.setattr(klr, "MAX_ITER", 1)
     with pytest.warns(RuntimeWarning, match=r"Newton iterations 1, max \|beta-gradient\| "):
         klr_fit(data, KernelParams(1.0), 0.01, 1e-8)
+
+
+def test_fit_backtracks_and_never_raises_the_objective(monkeypatch):
+    # unstandardised mixture, C = 1e6 and g = 1: some full Newton steps fail
+    # the Armijo test, so the line search halves them
+    data = gaussian_mixture_pool(210, seed=1)
+    lam = 1.0 / (1e6 * len(data.labels))
+    ces, directions = [], []  # CE per evaluation; (evaluations so far, d) per iteration
+
+    def spy_ce(scores, picked):
+        ce, resid = ce_and_resid(scores, picked)
+        ces.append(ce)
+        return ce, resid
+
+    def spy_direction(*args):
+        d = newton_direction(*args)
+        directions.append((len(ces), d.copy()))
+        return d
+
+    ce_and_resid, newton_direction = klr._ce_and_resid, klr._newton_direction
+    monkeypatch.setattr(klr, "_ce_and_resid", spy_ce)
+    monkeypatch.setattr(klr, "_newton_direction", spy_direction)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        klr_fit(data, KernelParams(1.0), lam, 1e-8)
+    assert len(ces) > len(directions) > 1  # at least one halving
+    # each iteration's last evaluation is the accepted step t = 2^-(tries - 1);
+    # its objective is lam ||beta||^2 + CE, from CE = log M at beta = 0
+    ends = [start for start, _ in directions[1:]] + [len(ces)]
+    beta = np.zeros_like(directions[0][1])
+    values = [np.log(data.num_classes)]
+    for (start, d), end in zip(directions, ends):
+        assert end > start
+        beta = beta + 0.5 ** (end - start - 1) * d
+        values.append(lam * float(np.vdot(beta, beta)) + ces[end - 1])
+    assert np.all(np.diff(values) <= 0)
 
 
 def factor_objective_and_gradient(data, kernel, lam, alpha):

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from cpmkm.data import (Dataset, load_csv, load_feature_csv, load_label_csv,
 from cpmkm.kernel import KernelParams, gram
 from cpmkm.klr import CvGrid, klr_gradient, klr_objective, klr_predict
 from cpmkm.shiftlab import (METHODS, MIXTURE_MEANS, EvalReport, ShiftSpec, aggregate,
-                            dirichlet_sample, estimate_weights, gaussian_mixture_pool,
+                            estimate_weights, gaussian_mixture_pool,
                             metric_acc, metric_mse, run_benchmark,
                             sample_shift_scenario, sample_source, sample_target_test)
 from mixture import gaussian_mixture_posterior
@@ -70,6 +71,12 @@ def test_load_csv_standardizes_constant_column(tmp_path):
     assert np.allclose(features[:, 0], 0.0)
     assert features[:, 1].mean() == pytest.approx(0.0, abs=1e-12)
     assert features[:, 1].std() == pytest.approx(1.0)
+
+
+def test_load_csv_empty_file_rejected(tmp_path):
+    path = write(tmp_path, "")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: empty file$"):
+        load_csv(path, "label")
 
 
 def test_load_csv_header_only_rejected(tmp_path):
@@ -151,8 +158,10 @@ def test_load_csv_missing_label_column(tmp_path):
 # ------------------------------------------------------- scenario sampling
 
 def test_dirichlet_concentration_limit():
-    rng = np.random.default_rng(0)
-    draws = np.array([dirichlet_sample(1e6, 3, rng) for _ in range(50)])
+    pool = gaussian_mixture_pool(300, seed=0)
+    spec = ShiftSpec(alpha=1e6, m_q=3, n_p=30, n_q=30, n_t=30)
+    draws = np.array([sample_target_test(pool, spec, (s,), np.array([], dtype=int))[0]
+                      for s in range(50)])
     assert np.abs(draws - 1 / 3).max() <= 0.02
 
 
@@ -228,6 +237,9 @@ def test_spec_validation():
         ShiftSpec(alpha=1.0, m_q=0, n_p=10, n_q=10, n_t=10)
     with pytest.raises(ValueError):
         ShiftSpec(alpha=1.0, m_q=2, n_p=0, n_q=10, n_t=10)
+    for alpha in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            ShiftSpec(alpha=alpha, m_q=2, n_p=10, n_q=10, n_t=10)
 
 
 # ----------------------------------------------------------------- metrics
@@ -347,6 +359,20 @@ def test_benchmark_predicts_each_pool_row_once_per_source_draw(monkeypatch):
         atol = 1e-5 if report.method == "mlls" else 1e-9
         assert np.allclose(report.w_hat, w, rtol=0, atol=atol)
         assert report.acc == acc
+
+
+def test_benchmark_all_zero_ratio_falls_back_to_ones(monkeypatch):
+    monkeypatch.setattr(shiftlab, "bbse_solve", lambda confusion, mu: np.zeros(len(mu)))
+    reports = tiny_benchmark(methods=("bbse", "cpmkm"), target_reps=2)
+    pool = gaussian_mixture_pool(1200, seed=10)
+    source, _ = sample_source(pool, 120, (2, 0))
+    priors = empirical_class_probs(source.labels, source.num_classes)
+    bbse = [r for r in reports if r.method == "bbse"]
+    assert len(bbse) == 2
+    for r in bbse:
+        assert r.w_hat == (1.0, 1.0, 1.0)
+        assert r.q_hat == tuple(priors)
+    assert all(r.w_hat != (1.0, 1.0, 1.0) for r in reports if r.method == "cpmkm")
 
 
 def test_benchmark_unknown_method_rejected():
