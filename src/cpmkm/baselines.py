@@ -36,8 +36,7 @@ class ConfusionMatrix:
 
 def confusion_estimate(model: KlrModel, holdout) -> ConfusionMatrix:
     """Joint (prediction, truth) distribution of the predictor on held-out data."""
-    labels = np.asarray(holdout.labels, dtype=int)
-    m = model.num_classes
+    labels, m = holdout.labels, model.num_classes
     counts = np.bincount(labels - 1, minlength=m)
     if (counts == 0).any():
         missing = holdout.class_value(int(np.argmin(counts)) + 1)

@@ -95,8 +95,14 @@ def _read_json(path, what: str, read):
         raise ValueError(f"{path}: not {what} ({exc!r})")
 
 
+def _write_text(path, text: str):
+    """Write text to path, creating its parent directory first."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text(text)
+
+
 def _write_json(path, payload):
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _write_csv(path, features, labels):
@@ -108,7 +114,7 @@ def _write_csv(path, features, labels):
         for row, label in zip(rows, labels):
             row.append(str(int(label)))
     lines = [",".join(row) for row in [header, *rows]]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 @click.group()
@@ -228,7 +234,6 @@ def cmd_simulate(pool_path, label_column, alpha, mq, n_p, n_q, n_t, seed, out_di
     spec = _shift_spec(pool, alpha, mq, n_p, n_q, n_t, seed)
     source, target_x, test, q_true = sample_shift_scenario(pool, spec)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "source.csv", source.features, pool.classes[source.labels - 1])
     _write_csv(out / "target.csv", target_x, None)
     _write_csv(out / "test.csv", test.features, pool.classes[test.labels - 1])
@@ -279,7 +284,7 @@ def cmd_plot_data(reports, metric, out_path):
                   for row in _read_json(path, "a benchmark report", rows_of))
     lines = ["method,n_q,mean,std"]
     lines += [f"{m},{n},{mean!r},{std!r}" for m, n, mean, std in rows]
-    Path(out_path).write_text("\n".join(lines) + "\n")
+    _write_text(out_path, "\n".join(lines) + "\n")
     click.echo(f"wrote {out_path}")
 
 

@@ -116,19 +116,12 @@ def _newton_step(jac: np.ndarray, curv: np.ndarray, g: np.ndarray,
     1e-11 times the largest, and the solve would crawl along such a valley.
     """
     h = 2.0 * (jac @ jac - 2.0 * curv)
-    if free.all():
-        return _floored_solve(h, g)
     idx = np.flatnonzero(free)
-    d = np.zeros_like(g)
-    d[idx] = _floored_solve(h[np.ix_(idx, idx)], g[idx])
-    return d
-
-
-def _floored_solve(h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """-h^-1 g, with h's eigenvalues replaced by max(|lambda|, EIG_FLOOR max |lambda|)."""
-    lam, v = np.linalg.eigh(h)
+    lam, v = np.linalg.eigh(h[np.ix_(idx, idx)])
     lam = np.abs(lam)
-    return v @ ((g @ v) / -np.maximum(lam, EIG_FLOOR * lam.max()))
+    d = np.zeros_like(g)
+    d[idx] = v @ ((g[idx] @ v) / -np.maximum(lam, EIG_FLOOR * lam.max()))
+    return d
 
 
 def cpm_solve(problem: MatchProblem) -> np.ndarray:

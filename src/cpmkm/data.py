@@ -18,9 +18,9 @@ def check_labels(labels: np.ndarray, num_classes: int):
         raise ValueError(f"labels must lie in 1..{num_classes}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    """Feature matrix with integer labels in 1..M."""
+    """Feature matrix with integer labels in 1..M, cast and checked once here."""
 
     features: np.ndarray     # (n, d)
     labels: np.ndarray       # (n,) ints in 1..M
@@ -29,15 +29,17 @@ class Dataset:
     classes: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.features = np.atleast_2d(np.asarray(self.features, dtype=float))
-        self.labels = np.asarray(self.labels, dtype=int)
-        if len(self.labels) != self.features.shape[0]:
+        features = np.atleast_2d(np.asarray(self.features, dtype=float))
+        labels = np.asarray(self.labels, dtype=int)
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "labels", labels)
+        if len(labels) != features.shape[0]:
             raise ValueError("features and labels disagree on sample count")
-        if len(self.labels) < 1:
+        if len(labels) < 1:
             raise ValueError("dataset must contain at least one sample")
-        if not np.all(np.isfinite(self.features)):
+        if not np.all(np.isfinite(features)):
             raise ValueError("non-finite feature value")
-        check_labels(self.labels, self.num_classes)
+        check_labels(labels, self.num_classes)
 
     def __len__(self):
         return len(self.labels)

@@ -322,11 +322,8 @@ def klr_fit(data, kernel: KernelParams, lam: float, trunc_t: float,
     objective is optimized.  An unconverged fit is returned with a
     RuntimeWarning.
     """
-    x = np.asarray(data.features, dtype=float)
-    labels = np.asarray(data.labels, dtype=int)
-    m = data.num_classes
+    x, labels, m = data.features, data.labels, data.num_classes
     n = x.shape[0]
-    check_labels(labels, m)
     counts = np.bincount(labels - 1, minlength=m)
     if (counts == 0).any():
         missing = data.class_value(int(np.argmin(counts)) + 1)
@@ -412,7 +409,7 @@ def cv_select(data, cv_grid: CvGrid, seed: int) -> CvSelection:
     then smaller g; the score table is fully materialized so the selection is
     independent of evaluation order.
     """
-    labels = np.asarray(data.labels, dtype=int)
+    labels = data.labels
     n = len(labels)
     counts = np.bincount(labels - 1, minlength=data.num_classes)
     # a singleton class cannot appear in every training fold
@@ -449,9 +446,7 @@ def cv_select(data, cv_grid: CvGrid, seed: int) -> CvSelection:
     table = [(c, g, float(np.mean(ce[i, j])))
              for i, c in enumerate(cv_grid.c_values) for j, g in enumerate(cv_grid.g_values)]
 
-    best = min(table, key=lambda row: (row[2], row[0], row[1]))
-    c_star, g_star = best[0], best[1]
-    lam_star = 1.0 / (c_star * n)
-    model = klr_fit(data, KernelParams(g_star), lam_star, cv_grid.trunc_t)
-    return CvSelection(kernel=KernelParams(g_star), c=c_star, lam=lam_star, model=model,
+    c_star, g_star, _ = min(table, key=lambda row: (row[2], row[0], row[1]))
+    model = klr_fit(data, KernelParams(g_star), 1.0 / (c_star * n), cv_grid.trunc_t)
+    return CvSelection(kernel=model.kernel, c=c_star, lam=model.lam, model=model,
                        table=tuple(table))

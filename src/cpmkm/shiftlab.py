@@ -183,9 +183,12 @@ def run_benchmark(pool: Dataset, spec: ShiftSpec, methods, source_reps: int,
     target/test split; reports come out ordered by (source rep, target rep,
     method).
     """
-    if not methods or not set(methods) <= set(METHODS):
-        raise ValueError(f"no method, or an unknown method, in {list(methods)}; "
-                         f"expected some of {METHODS}")
+    if not methods or not set(methods) <= set(METHODS) or len(set(methods)) < len(methods):
+        raise ValueError(f"no method, an unknown method or a repeated method in "
+                         f"{list(methods)}; expected distinct ones of {METHODS}")
+    if min(source_reps, target_reps) < 1:
+        raise ValueError(f"source_reps and target_reps must be at least 1, "
+                         f"got {source_reps} and {target_reps}")
     reports = []
     for s in range(source_reps):
         source, used = sample_source(pool, spec.n_p, (spec.seed, s))

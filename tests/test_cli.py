@@ -199,6 +199,50 @@ def test_nonfinite_alpha_rejected_before_any_fit(pool_csv, tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args, fragment", [
+    (["--source-reps", "0"], "source_reps and target_reps must be at least 1, got 0 and 10"),
+    (["--source-reps", "-1"], "source_reps and target_reps must be at least 1, got -1"),
+    (["--target-reps", "0"], "source_reps and target_reps must be at least 1, got 10 and 0"),
+    (["--target-reps", "-1"], "source_reps and target_reps must be at least 1, got 10"),
+    (["--methods", "cpmkm,cpmkm"], "a repeated method in ['cpmkm', 'cpmkm']"),
+], ids=["source-reps-0", "source-reps-neg", "target-reps-0", "target-reps-neg",
+        "repeated-method"])
+def test_benchmark_options_rejected_before_any_fit(pool_csv, tmp_path, monkeypatch,
+                                                   args, fragment):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("klr_fit called")
+
+    monkeypatch.setattr(klr, "klr_fit", no_fit)
+    monkeypatch.chdir(tmp_path)  # default output paths in tmp_path
+    res = run("benchmark", "--pool", pool_csv, *args)
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert res.stderr.startswith("error: ") and fragment in res.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_outputs_into_missing_directories(pool_csv, tmp_path):
+    # every writer creates the parent directories of its output path
+    scen = tmp_path / "missing" / "scen"
+    res = run("simulate", "--pool", pool_csv, "--np", "150", "--nq", "100",
+              "--nt", "30", "--seed", "2", "--out-dir", scen)
+    assert res.exit_code == 0, res.output
+    adapted = tmp_path / "missing" / "nested" / "adapted.json"
+    res = run("adapt", "--source", scen / "source.csv", "--target", scen / "target.csv",
+              "--out", adapted, *FAST)
+    assert res.exit_code == 0, res.output
+    assert "w_hat" in json.loads(adapted.read_text())
+    bench = tmp_path / "missing" / "nested" / "bench" / "benchmark.json"
+    res = run("benchmark", "--pool", pool_csv, "--np", "120", "--nq", "80", "--nt", "80",
+              "--methods", "cpmkm", "--source-reps", "1", "--target-reps", "1",
+              "--out", bench, *FAST)
+    assert res.exit_code == 0, res.output
+    assert len(json.loads(bench.read_text())["reports"]) == 1
+    plot = tmp_path / "missing" / "nested" / "plot" / "plot.csv"
+    res = run("plot-data", "--reports", bench, "--out", plot)
+    assert res.exit_code == 0, res.output
+    assert plot.read_text().startswith("method,n_q,mean,std\ncpmkm,80,")
+
+
 TINY_ALPHA_RUNS = {
     "simulate": ["--out-dir", "out"],
     "benchmark": ["--methods", "cpmkm,bbse", "--source-reps", "1", "--target-reps", "3",

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import warnings
 
@@ -46,6 +47,16 @@ def test_labels_outside_1_to_m_are_rejected(caller, bad):
     # every caller states the rule through data.check_labels, one message
     with pytest.raises(ValueError, match=r"^labels must lie in 1\.\.3$"):
         LABEL_CHECKERS[caller](np.array([1, 2, 3, bad]), 3)
+
+
+def test_dataset_is_frozen_and_replace_rechecks_labels():
+    data = Dataset(features=[[0.0], [1.0]], labels=[1, 2], num_classes=2)
+    assert data.features.dtype == float and data.labels.dtype == int
+    for name in ("features", "labels"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(data, name, getattr(data, name))
+    with pytest.raises(ValueError, match=r"^labels must lie in 1\.\.2$"):
+        dataclasses.replace(data, labels=np.array([0, 2]))
 
 
 # ---------------------------------------------------------------- load_csv
@@ -380,6 +391,9 @@ def test_benchmark_unknown_method_rejected():
         tiny_benchmark(methods=("kmm",))
     with pytest.raises(ValueError, match="no method"):
         tiny_benchmark(methods=())
+    # a repeated name would solve its method twice per cell and count one cell twice
+    with pytest.raises(ValueError, match="repeated method"):
+        tiny_benchmark(methods=("cpmkm", "cpmkm"))
 
 
 # -------------------------------------------------------- synthetic oracle
