@@ -27,7 +27,8 @@ class ConfusionMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
+        v.flags.writeable = False
         object.__setattr__(self, "values", v)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("confusion matrix must be square")

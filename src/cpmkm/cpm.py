@@ -26,8 +26,10 @@ class MatchProblem:
     target_probs: np.ndarray   # (n_q, M) source posteriors on target points
 
     def __post_init__(self):
-        p = np.asarray(self.p_hat, dtype=float)
-        tp = np.atleast_2d(np.asarray(self.target_probs, dtype=float))
+        # read-only copies; in Fortran order, target_probs.T is _state's C array
+        p = np.array(self.p_hat, dtype=float)
+        tp = np.array(self.target_probs, dtype=float, ndmin=2, order="F")
+        p.flags.writeable = tp.flags.writeable = False
         object.__setattr__(self, "p_hat", p)
         object.__setattr__(self, "target_probs", tp)
         check_simplex(p, 1e-10, 0.0, "p_hat")
@@ -64,11 +66,6 @@ def reweighted_target_probs(problem: MatchProblem, w) -> np.ndarray:
     return (problem.target_probs / s[:, None]).mean(axis=0)
 
 
-def _class_major(problem: MatchProblem) -> np.ndarray:
-    """The (M, n_q) contiguous copy of the posteriors that _state takes."""
-    return np.ascontiguousarray(problem.target_probs.T)
-
-
 def _state(w: np.ndarray, p_hat: np.ndarray, tt: np.ndarray):
     """The objective at w on class-major posteriors tt (M, n_q): a 2M-row buffer
     with a = tt / (w'tt) on top, the residual r = p_hat - a.sum(1) / n_q, f = |r|^2."""
@@ -91,12 +88,12 @@ def _products(buf: np.ndarray, r: np.ndarray):
 
 def cpm_objective(problem: MatchProblem, w) -> float:
     return _state(_check_w(w, problem.num_classes), problem.p_hat,
-                  _class_major(problem))[2]
+                  problem.target_probs.T)[2]
 
 
 def cpm_gradient(problem: MatchProblem, w) -> np.ndarray:
     buf, r, _ = _state(_check_w(w, problem.num_classes), problem.p_hat,
-                       _class_major(problem))
+                       problem.target_probs.T)
     return _products(buf, r)[2]
 
 
@@ -139,7 +136,7 @@ def cpm_solve(problem: MatchProblem) -> np.ndarray:
     its length.  Falls back to w0 when the solve ends at a higher objective
     than it began.
     """
-    p_hat, tt = problem.p_hat, _class_major(problem)
+    p_hat, tt = problem.p_hat, problem.target_probs.T
 
     def arc_search(w, f, d, slope, slack):
         """The first w_t = max(w + t d, 0), t = 1, 1/2, ..., down to T_MIN,

@@ -20,7 +20,8 @@ def check_labels(labels: np.ndarray, num_classes: int):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix with integer labels in 1..M, cast and checked once here."""
+    """Feature matrix with integer labels in 1..M, cast, checked and made read-only
+    here; a caller that keeps and writes the array it passed in breaks the checks."""
 
     features: np.ndarray     # (n, d)
     labels: np.ndarray       # (n,) ints in 1..M
@@ -29,8 +30,9 @@ class Dataset:
     classes: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        features = np.atleast_2d(np.asarray(self.features, dtype=float))
-        labels = np.asarray(self.labels, dtype=int)
+        features = np.atleast_2d(np.asarray(self.features, dtype=float)).view()
+        labels = np.asarray(self.labels, dtype=int).view()
+        features.flags.writeable = labels.flags.writeable = False
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
         if len(labels) != features.shape[0]:

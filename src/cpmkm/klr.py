@@ -66,6 +66,12 @@ T_MIN = 2.0 ** -40  # shortest step of those line searches
 PREDICT_BLOCK = 2 ** 17  # Gram entries per klr_predict block, 1 MB of doubles
 
 
+def check_trunc_t(trunc_t: float, num_classes: int):
+    """Raise ValueError unless the prediction floor trunc_t lies in (0, 1/(2M))."""
+    if not (0 < trunc_t < 1 / (2 * num_classes)):
+        raise ValueError(f"trunc_t must lie in (0, 1/(2M)), got {trunc_t}")
+
+
 @dataclass(frozen=True)
 class KlrModel:
     """Fitted truncated kernel logistic regressor.
@@ -86,8 +92,7 @@ class KlrModel:
                 f"alpha shape {self.alpha.shape} inconsistent with "
                 f"{self.support.shape[0]} support points, M={self.num_classes}"
             )
-        if not (0 < self.trunc_t < 1 / (2 * self.num_classes)):
-            raise ValueError(f"trunc_t must lie in (0, 1/(2M)), got {self.trunc_t}")
+        check_trunc_t(self.trunc_t, self.num_classes)
         if not (np.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lambda must be positive, got {self.lam}")
 
@@ -409,6 +414,7 @@ def cv_select(data, cv_grid: CvGrid, seed: int) -> CvSelection:
     then smaller g; the score table is fully materialized so the selection is
     independent of evaluation order.
     """
+    check_trunc_t(cv_grid.trunc_t, data.num_classes)
     labels = data.labels
     n = len(labels)
     counts = np.bincount(labels - 1, minlength=data.num_classes)

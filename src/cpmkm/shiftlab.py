@@ -102,12 +102,17 @@ def sample_source(pool: Dataset, n_p: int, seed: tuple) -> tuple[Dataset, np.nda
     return pool.subset(idx), idx
 
 
+def check_support(pool: Dataset, spec: ShiftSpec):
+    """Raise ValueError unless the pool has the spec's m_q supported classes."""
+    if spec.m_q > pool.num_classes:
+        raise ValueError(f"m_q={spec.m_q} exceeds class count {pool.num_classes}")
+
+
 def sample_target_test(pool: Dataset, spec: ShiftSpec, seed: tuple,
                        exclude: np.ndarray):
     """Draw q_true and the pool indices of a target and a disjoint test set."""
+    check_support(pool, spec)
     m = pool.num_classes
-    if spec.m_q > m:
-        raise ValueError(f"m_q={spec.m_q} exceeds class count {m}")
     support = _rng(seed, _STREAM_CLASS_CHOICE).choice(m, size=spec.m_q, replace=False)
     q_true = np.zeros(m)
     q_true[np.sort(support)] = _rng(seed, _STREAM_DIRICHLET).dirichlet(
@@ -127,6 +132,7 @@ def sample_target_test(pool: Dataset, spec: ShiftSpec, seed: tuple,
 
 def sample_shift_scenario(pool: Dataset, spec: ShiftSpec):
     """One full scenario: (source, target features, test, q_true)."""
+    check_support(pool, spec)
     source, used = sample_source(pool, spec.n_p, (spec.seed,))
     q_true, target_idx, test_idx = sample_target_test(pool, spec, (spec.seed,), used)
     return source, pool.features[target_idx], pool.subset(test_idx), q_true
@@ -189,6 +195,7 @@ def run_benchmark(pool: Dataset, spec: ShiftSpec, methods, source_reps: int,
     if min(source_reps, target_reps) < 1:
         raise ValueError(f"source_reps and target_reps must be at least 1, "
                          f"got {source_reps} and {target_reps}")
+    check_support(pool, spec)
     reports = []
     for s in range(source_reps):
         source, used = sample_source(pool, spec.n_p, (spec.seed, s))

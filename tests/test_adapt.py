@@ -199,3 +199,32 @@ def test_adapted_model_json_roundtrip():
     assert np.array_equal(back.weights, model.weights)
     assert np.array_equal(back.source_priors, model.source_priors)
     assert back.source_model.fingerprint() == model.source_model.fingerprint()
+
+
+# -------------------------------------------------------------- validation
+
+def _two_class_model():
+    return KlrModel(support=np.zeros((2, 1)), alpha=np.zeros((2, 1)),
+                    kernel=KernelParams(1.0), lam=1.0, trunc_t=1e-8, num_classes=2)
+
+
+REJECTED = {
+    "adapted-length": (lambda: AdaptedModel(source_model=_two_class_model(),
+                                            weights=np.ones(3),
+                                            source_priors=np.array([0.5, 0.5])),
+                       r"^weights/source_priors length must equal the class count$"),
+    "adapted-version": (lambda: AdaptedModel.from_dict({"format_version": 2}),
+                        r"^unsupported format version 2$"),
+    "pipeline-empty-target": (lambda: adapt_pipeline(
+        Dataset(features=np.arange(10.0)[:, None], labels=np.r_[[1] * 5, [2] * 5],
+                num_classes=2), np.zeros((0, 1)), CvGrid(), seed=0),
+                              r"^target set must be non-empty$"),
+    "q-all-zero-w": (lambda: target_class_probs(np.zeros(2), np.array([0.5, 0.5])),
+                     r"^zero denominator in target class probability$"),
+}
+
+
+@pytest.mark.parametrize("call, message", REJECTED.values(), ids=REJECTED.keys())
+def test_invalid_input_rejected_with_its_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -387,3 +387,30 @@ def test_all_estimators_return_ones_without_shift():
         devs["mlls"].append(np.abs(mlls_em(probs, priors) - 1.0).max())
     for name, vals in devs.items():
         assert np.mean(vals) <= 0.12, (name, vals)
+
+
+# -------------------------------------------------------------- validation
+
+REJECTED = {
+    "confusion-not-square": (lambda: ConfusionMatrix(values=np.full((2, 3), 1 / 6)),
+                             r"^confusion matrix must be square$"),
+    # NaN passes the positivity checks and surfaces in the first EM map
+    "mlls-nan-posterior": (lambda: mlls_em(np.array([[np.nan, 0.5], [0.5, 0.5]]),
+                                           np.array([0.5, 0.5])),
+                           r"^non-finite likelihood in EM iteration$"),
+}
+
+
+@pytest.mark.parametrize("call, message", REJECTED.values(), ids=REJECTED.keys())
+def test_invalid_input_rejected_with_its_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_confusion_matrix_holds_a_read_only_copy():
+    values = np.array([[0.4, 0.1], [0.1, 0.4]])
+    confusion = ConfusionMatrix(values=values)
+    with pytest.raises(ValueError, match="read-only"):
+        confusion.values[0, 0] = 1.0
+    values[0, 0] = 1.0
+    assert confusion.values.tolist() == [[0.4, 0.1], [0.1, 0.4]]

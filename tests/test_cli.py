@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import cpmkm
-from cpmkm import cli, klr
+from cpmkm import cli, klr, shiftlab
 from cpmkm.adapt import AdaptedModel, predict_target
 from cpmkm.cli import main
 from cpmkm.shiftlab import gaussian_mixture_pool
@@ -217,6 +217,38 @@ def test_benchmark_options_rejected_before_any_fit(pool_csv, tmp_path, monkeypat
     res = run("benchmark", "--pool", pool_csv, *args)
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
     assert res.stderr.startswith("error: ") and fragment in res.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "benchmark"])
+def test_mq_above_class_count_rejected_before_any_draw(pool_csv, tmp_path, monkeypatch,
+                                                       command):
+    def fail(*args, **kwargs):
+        raise AssertionError("drew a source or fitted")
+
+    monkeypatch.setattr(klr, "klr_fit", fail)
+    monkeypatch.setattr(shiftlab, "sample_source", fail)
+    monkeypatch.chdir(tmp_path)  # default output paths in tmp_path
+    res = run(command, "--pool", pool_csv, "--mq", "4")
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert res.stderr == "error: m_q=4 exceeds class count 3\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["adapt", "benchmark"])
+@pytest.mark.parametrize("trunc_t", ["0.3", "0", "-1", "nan"])
+def test_trunc_t_outside_range_rejected_before_any_fit(pool_csv, scenario, tmp_path,
+                                                       monkeypatch, command, trunc_t):
+    def fail(*args, **kwargs):
+        raise AssertionError("factored a Gram")
+
+    monkeypatch.setattr(klr, "pivoted_factor", fail)
+    monkeypatch.chdir(tmp_path)  # default output paths in tmp_path
+    inputs = (["--source", scenario["source_path"], "--target", scenario["target_path"]]
+              if command == "adapt" else ["--pool", pool_csv])
+    res = run(command, *inputs, f"--trunc-t={trunc_t}")
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert res.stderr == f"error: trunc_t must lie in (0, 1/(2M)), got {float(trunc_t)}\n"
     assert list(tmp_path.iterdir()) == []
 
 

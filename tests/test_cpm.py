@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize
 
-from cpmkm import baselines
+from cpmkm import baselines, cpm
 from cpmkm.baselines import mlls_em
 from cpmkm.cpm import (MatchProblem, cpm_gradient, cpm_objective, cpm_solve,
                        empirical_class_probs, reweighted_target_probs)
@@ -377,3 +377,50 @@ def test_problem_validation():
         for w in ([-0.5, 1.0], [0.0, 0.0]):
             with pytest.raises(ValueError):
                 view(problem, np.array(w))
+
+
+REJECTED = {
+    "column-count": (lambda: MatchProblem(p_hat=[0.5, 0.5], target_probs=[[0.2, 0.3, 0.5]]),
+                     r"^target_probs column count must match len\(p_hat\)$"),
+    "w-length": (lambda: cpm_objective(MatchProblem(p_hat=[0.5, 0.5],
+                                                    target_probs=[[0.5, 0.5]]), np.ones(3)),
+                 r"^w must have length 2$"),
+}
+
+
+@pytest.mark.parametrize("call, message", REJECTED.values(), ids=REJECTED.keys())
+def test_invalid_input_rejected_with_its_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_problem_holds_read_only_copies():
+    p_hat, probs = np.array([0.5, 0.5]), np.array([[0.2, 0.8], [0.6, 0.4], [0.5, 0.5]])
+    problem = MatchProblem(p_hat=p_hat, target_probs=probs)
+    for array in (problem.p_hat, problem.target_probs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.5
+    p_hat[:] = [1.0, 0.0]
+    probs[:] = [1.0, 0.0]
+    assert problem.p_hat.tolist() == [0.5, 0.5]
+    assert problem.target_probs.tolist() == [[0.2, 0.8], [0.6, 0.4], [0.5, 0.5]]
+    # the class-major array the objective reads is the transpose, without a copy
+    assert problem.target_probs.shape == (3, 2) and problem.target_probs.T.flags.c_contiguous
+
+
+def test_views_and_solve_read_the_problem_posteriors_in_place(monkeypatch):
+    problem = random_problem(np.random.default_rng(3), m=3, nq=12)
+    seen = []
+    state = cpm._state
+
+    def spy(w, p_hat, tt):
+        seen.append(tt)
+        return state(w, p_hat, tt)
+
+    monkeypatch.setattr(cpm, "_state", spy)
+    w = np.array([0.5, 1.0, 2.0])
+    cpm_objective(problem, w)
+    cpm_gradient(problem, w)
+    cpm_solve(problem)
+    assert len(seen) > 3
+    assert all(np.shares_memory(tt, problem.target_probs) for tt in seen)

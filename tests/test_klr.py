@@ -850,3 +850,32 @@ def test_predict_blocks_match_dense(g):
     a, b = rng.standard_normal((step + 3, 2)), rng.standard_normal((2 * step - 5, 2))
     stacked = np.vstack([klr_predict(model, a), klr_predict(model, b)])
     assert np.abs(klr_predict(model, np.vstack([a, b])) - stacked).max() <= 1e-14
+
+
+# -------------------------------------------------------------- validation
+
+def _model(**changes):
+    args = dict(support=np.zeros((2, 1)), alpha=np.zeros((2, 1)), kernel=KernelParams(1.0),
+                lam=1.0, trunc_t=1e-8, num_classes=2)
+    return KlrModel(**{**args, **changes})
+
+
+REJECTED = {
+    "alpha-shape": (lambda: _model(alpha=np.zeros((2, 2))),
+                    r"^alpha shape \(2, 2\) inconsistent with 2 support points, M=2$"),
+    "trunc-t": (lambda: _model(trunc_t=0.25), r"^trunc_t must lie in \(0, 1/\(2M\)\), got 0.25$"),
+    "lambda-zero": (lambda: _model(lam=0.0), r"^lambda must be positive, got 0.0$"),
+    "lambda-nan": (lambda: _model(lam=np.nan), r"^lambda must be positive, got nan$"),
+    "model-version": (lambda: KlrModel.from_dict({"format_version": 2}),
+                      r"^unsupported model format version 2$"),
+    # checked before any fold is factored or fitted
+    "cv-trunc-t": (lambda: cv_select(Dataset(features=np.zeros((4, 1)), labels=[1, 2, 1, 2],
+                                             num_classes=2), CvGrid(trunc_t=0.3), seed=0),
+                   r"^trunc_t must lie in \(0, 1/\(2M\)\), got 0.3$"),
+}
+
+
+@pytest.mark.parametrize("call, message", REJECTED.values(), ids=REJECTED.keys())
+def test_invalid_input_rejected_with_its_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -59,6 +59,20 @@ def test_dataset_is_frozen_and_replace_rechecks_labels():
         dataclasses.replace(data, labels=np.array([0, 2]))
 
 
+def test_dataset_arrays_are_read_only():
+    # a write through the arrays cannot undo the checks; a label of 0 once
+    # got past them here and failed later inside klr_fit's np.bincount
+    features, labels = np.array([[0.0], [1.0]]), np.array([1, 2])
+    data = Dataset(features=features, labels=labels, num_classes=2)
+    with pytest.raises(ValueError, match="read-only"):
+        data.labels[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        data.features[0, 0] = np.nan
+    # the Dataset holds views: the caller's own arrays stay writable
+    assert features.flags.writeable and labels.flags.writeable
+    assert not data.subset([1]).labels.flags.writeable
+
+
 # ---------------------------------------------------------------- load_csv
 
 def write(tmp_path, text, name="data.csv"):
@@ -409,3 +423,34 @@ def test_mixture_posterior_at_means():
     # at a class mean the posterior should favor that class
     p = gaussian_mixture_posterior(MIXTURE_MEANS)
     assert np.array_equal(np.argmax(p, axis=1), np.arange(3))
+
+
+# -------------------------------------------------------------- validation
+
+REJECTED = {
+    "dataset-count-mismatch": (lambda: Dataset(features=np.zeros((3, 1)), labels=[1, 2],
+                                               num_classes=2),
+                               r"^features and labels disagree on sample count$"),
+    "dataset-empty": (lambda: Dataset(features=np.zeros((0, 1)), labels=np.zeros(0, int),
+                                      num_classes=2),
+                      r"^dataset must contain at least one sample$"),
+    "dataset-nonfinite": (lambda: Dataset(features=[[0.0], [np.inf]], labels=[1, 2],
+                                          num_classes=2),
+                          r"^non-finite feature value$"),
+    "mse-shape": (lambda: metric_mse([0.5, 0.5], [0.2, 0.3, 0.5]),
+                  r"^q_hat has shape \(2,\), q_true \(3,\)$"),
+    "weights-method": (lambda: estimate_weights("kmm", None, np.array([0.5, 0.5]),
+                                                np.array([[0.5, 0.5]])),
+                       r"^unknown method 'kmm'; expected one of \('cpmkm', 'bbse', "
+                       r"'rlls', 'mlls'\)$"),
+    "target-mq": (lambda: sample_target_test(gaussian_mixture_pool(30, seed=0),
+                                             ShiftSpec(1.0, 4, 3, 3, 3), (0,),
+                                             np.zeros(0, int)),
+                  r"^m_q=4 exceeds class count 3$"),
+}
+
+
+@pytest.mark.parametrize("call, message", REJECTED.values(), ids=REJECTED.keys())
+def test_invalid_input_rejected_with_its_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
