@@ -60,10 +60,9 @@ def _check_w(w, num_classes: int) -> np.ndarray:
 
 
 def reweighted_target_probs(problem: MatchProblem, w) -> np.ndarray:
-    """(1/n_q) sum_i p_hat(y|X_i) / sum_m w_m p_hat(m|X_i), per class y."""
-    w = _check_w(w, problem.num_classes)
-    s = np.maximum(problem.target_probs @ w, FLOOR_S)
-    return (problem.target_probs / s[:, None]).mean(axis=0)
+    """(1/n_q) sum_i p_hat(y|X_i) / sum_m w_m p_hat(m|X_i): the class means of _state's a."""
+    buf = _state(_check_w(w, problem.num_classes), problem.p_hat, problem.target_probs.T)[0]
+    return buf[:problem.num_classes].sum(axis=1) / buf.shape[1]
 
 
 def _state(w: np.ndarray, p_hat: np.ndarray, tt: np.ndarray):

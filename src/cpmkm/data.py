@@ -65,7 +65,8 @@ def standardize_columns(features: np.ndarray):
     std = features.std(axis=0)
     constant = std ** 2 < VARIANCE_FLOOR
     std = np.where(constant, 1.0, std)
-    out = (features - mean) / std
+    out = features - mean
+    out /= std
     out[:, constant] = 0.0
     return out, mean, std
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import cpm, klr
-from .adapt import reweight_posterior
 from .baselines import _class_major_ratio, _em_map, _mean_log_lik, mlls_em
 from .kernel import KernelParams, gram
 
@@ -73,28 +72,6 @@ def _fd_match(fun, point, analytic, step) -> bool:
     return bool(np.abs(analytic.ravel() - fd).max() / ref < 1e-5)
 
 
-def check_identities(rng) -> bool:
-    m = 4
-    probs = _random_simplex(rng, (10, m))
-    problem = cpm.MatchProblem(p_hat=_random_simplex(rng, m), target_probs=probs)
-    w = rng.random(m) + 0.2
-    # degree -1 homogeneity of the reweighted target probabilities
-    for c in (0.5, 3.0):
-        lhs = cpm.reweighted_target_probs(problem, c * w)
-        rhs = cpm.reweighted_target_probs(problem, w) / c
-        if not np.allclose(lhs, rhs, rtol=1e-12):
-            return False
-    # reweighting by all-ones is the identity
-    row = _random_simplex(rng, m)
-    if not np.allclose(reweight_posterior(row, np.ones(m)), row):
-        return False
-    # kernel symmetry and boundedness
-    x, y = rng.standard_normal((1, 3)), rng.standard_normal((1, 3))
-    p = KernelParams(0.9)
-    k1, k2 = gram(x, y, p).values[0, 0], gram(y, x, p).values[0, 0]
-    return k1 == k2 and 0 < k1 <= 1
-
-
 def check_mlls_monotone(rng) -> bool:
     """50 random problems: 60 EM maps each stay on the simplex and never lower
     the likelihood, and mlls_em returns a nonnegative ratio."""
@@ -120,6 +97,5 @@ CHECKS = (
     ("truncation", check_truncation),
     ("klr-gradient", check_klr_gradient),
     ("cpm-gradient", check_cpm_gradient),
-    ("identities", check_identities),
     ("mlls-monotonicity", check_mlls_monotone),
 )

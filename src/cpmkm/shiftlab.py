@@ -16,7 +16,7 @@ from .adapt import reweight_posterior, target_class_probs
 from .baselines import bbse_solve, confusion_estimate, mlls_em, rlls_solve
 from .cpm import MatchProblem, cpm_solve, empirical_class_probs
 from .data import Dataset, shuffled_class_indices
-from .klr import CvGrid, check_simplex, cv_select, klr_predict
+from .klr import CvGrid, check_simplex, check_trunc_t, cv_select, klr_predict
 
 METHODS = ("cpmkm", "bbse", "rlls", "mlls")
 
@@ -103,9 +103,12 @@ def sample_source(pool: Dataset, n_p: int, seed: tuple) -> tuple[Dataset, np.nda
 
 
 def check_support(pool: Dataset, spec: ShiftSpec):
-    """Raise ValueError unless the pool has the spec's m_q supported classes."""
+    """Raise ValueError unless the pool has m_q classes and n_p + n_q + n_t rows."""
     if spec.m_q > pool.num_classes:
         raise ValueError(f"m_q={spec.m_q} exceeds class count {pool.num_classes}")
+    if spec.n_p + spec.n_q + spec.n_t > len(pool):
+        raise ValueError(f"n_p + n_q + n_t = {spec.n_p} + {spec.n_q} + {spec.n_t} "
+                         f"exceeds the pool's {len(pool)} rows")
 
 
 def sample_target_test(pool: Dataset, spec: ShiftSpec, seed: tuple,
@@ -195,6 +198,7 @@ def run_benchmark(pool: Dataset, spec: ShiftSpec, methods, source_reps: int,
     if min(source_reps, target_reps) < 1:
         raise ValueError(f"source_reps and target_reps must be at least 1, "
                          f"got {source_reps} and {target_reps}")
+    check_trunc_t(cv_grid.trunc_t, pool.num_classes)
     check_support(pool, spec)
     reports = []
     for s in range(source_reps):

@@ -201,6 +201,68 @@ def test_adapted_model_json_roundtrip():
     assert back.source_model.fingerprint() == model.source_model.fingerprint()
 
 
+# ------------------------------------------------ edge cases, end to end
+
+def _mixture(seed, counts, d=2, n_q=40, target_class=None):
+    """Source rows, labels and target rows of unit Gaussian blobs centred on a
+    circle of radius 3 in the first two coordinates: counts[y - 1] source rows
+    of class y, and n_q target rows drawn from every class alike or from
+    target_class alone."""
+    rng = np.random.default_rng(seed)
+    m = len(counts)
+    angles = 2 * np.pi * np.arange(m) / m
+    centres = np.zeros((m, d))
+    centres[:, :2] = 3.0 * np.c_[np.cos(angles), np.sin(angles)]
+    labels = np.repeat(np.arange(1, m + 1), counts)
+    target_labels = (rng.integers(1, m + 1, n_q) if target_class is None
+                     else np.full(n_q, target_class))
+    x, tx = (centres[y - 1] + rng.standard_normal((len(y), d))
+             for y in (labels, target_labels))
+    return x, labels, tx
+
+
+def _duplicated(x, labels, tx):
+    return np.repeat(x, 2, axis=0), np.repeat(labels, 2), tx
+
+
+def _collinear(x, labels, tx):
+    return x[:, :1] * [1.0, 2.0], labels, tx[:, :1] * [1.0, 2.0]
+
+
+def _unscaled(x, labels, tx):
+    return x * 1e3 + 1e4, labels, tx * 1e3 + 1e4
+
+
+EDGE_CASES = {
+    "m2": _mixture(1, (20, 20)),
+    "m10": _mixture(2, (12,) * 10),
+    "d50": _mixture(3, (20, 20, 20), d=50),
+    "duplicated-rows": _duplicated(*_mixture(4, (15, 15, 15))),
+    "collinear-rows": _collinear(*_mixture(5, (20, 20, 20))),
+    "two-sample-class": _mixture(6, (20, 20, 2)),
+    "one-class-target": _mixture(7, (20, 20, 20), target_class=3),
+    "nq-1": _mixture(8, (20, 20, 20), n_q=1),
+    "unscaled": _unscaled(*_mixture(9, (20, 20, 20))),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_CASES)
+def test_pipeline_edge_cases_give_valid_estimates(name):
+    x, labels, tx = EDGE_CASES[name]
+    m = int(labels.max())
+    source = Dataset(features=x, labels=labels, num_classes=m)
+    grid = CvGrid(c_values=(1.0,), g_values=(0.0625, 1.0), folds=2)
+    model, _ = adapt_pipeline(source, tx, grid, seed=0)
+    w = model.weights
+    assert w.shape == (m,) and np.all(np.isfinite(w)) and np.all(w >= 0) and np.any(w > 0)
+    q = target_class_probs(w, model.source_priors)
+    assert np.all(q >= 0) and q.sum() == pytest.approx(1.0, abs=1e-12)
+    _, pred = predict_target(model, tx)
+    assert pred.shape == (len(tx),) and np.all((pred >= 1) & (pred <= m))
+    if name == "one-class-target":  # every target row is of class 3
+        assert np.argmax(q) == 2
+
+
 # -------------------------------------------------------------- validation
 
 def _two_class_model():

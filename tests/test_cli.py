@@ -235,6 +235,22 @@ def test_mq_above_class_count_rejected_before_any_draw(pool_csv, tmp_path, monke
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["simulate", "benchmark"])
+def test_sample_sizes_above_pool_rows_rejected_before_any_draw(pool_csv, tmp_path,
+                                                               monkeypatch, command):
+    # no draw fits 600 + 600 + 100 disjoint rows into the 1200-row pool
+    def fail(*args, **kwargs):
+        raise AssertionError("drew a source or ran CV")
+
+    monkeypatch.setattr(shiftlab, "sample_source", fail)
+    monkeypatch.setattr(shiftlab, "cv_select", fail)
+    monkeypatch.chdir(tmp_path)  # default output paths in tmp_path
+    res = run(command, "--pool", pool_csv, "--np", "600", "--nq", "600", "--nt", "100")
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert res.stderr == "error: n_p + n_q + n_t = 600 + 600 + 100 exceeds the pool's 1200 rows\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["adapt", "benchmark"])
 @pytest.mark.parametrize("trunc_t", ["0.3", "0", "-1", "nan"])
 def test_trunc_t_outside_range_rejected_before_any_fit(pool_csv, scenario, tmp_path,

@@ -249,9 +249,10 @@ def test_target_counts_track_q_true():
 
 
 def test_pool_exhaustion_names_class():
+    # 100 rows in all, but the one supported class cannot give 60 target rows
     pool = gaussian_mixture_pool(100, seed=6)
-    spec = ShiftSpec(alpha=1.0, m_q=1, n_p=30, n_q=200, n_t=10, seed=1)
-    with pytest.raises(ValueError, match="class"):
+    spec = ShiftSpec(alpha=1.0, m_q=1, n_p=30, n_q=60, n_t=10, seed=1)
+    with pytest.raises(ValueError, match="^pool exhausted for class 2: need 60, have 21$"):
         sample_shift_scenario(pool, spec)
 
 
