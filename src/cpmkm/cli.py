@@ -134,8 +134,8 @@ config_option = click.option(
 grid_options = _options([
     click.option("--c-grid", default=None, help="Comma-separated C values."),
     click.option("--g-grid", default=None, help="Comma-separated kernel coefficients."),
-    click.option("--folds", default=5, show_default=True),
-    click.option("--trunc-t", default=1e-8, show_default=True),
+    click.option("--folds", default=CvGrid.folds, show_default=True),
+    click.option("--trunc-t", default=CvGrid.trunc_t, show_default=True),
 ])
 
 scenario_options = _options([

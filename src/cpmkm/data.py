@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -84,8 +84,8 @@ def _read_csv(path) -> tuple[list[str], np.ndarray]:
 
     Blank rows are skipped; every other row must have one cell per header
     column.  numpy's C reader parses the body in one pass; only when it
-    fails, or a check on its result does, is the file read again to find the
-    row (the header is row 1) and column that errors name.
+    fails, or a check on its result does, does _fault read the file again
+    to find the row (the header is row 1) and column that errors name.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         header = next(csv.reader(fh), None)
@@ -93,33 +93,16 @@ def _read_csv(path) -> tuple[list[str], np.ndarray]:
             raise ValueError(f"{path}: empty file")
         try:
             with warnings.catch_warnings():
-                # a body of blank rows is reported below as "no data rows"
+                # a body of blank rows is reported by _fault as "no data rows"
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 values = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
                                     ndmin=2)
         except ValueError as exc:
-            raise _malformed(path, len(header), str(exc)) from None
-    if values.shape[1] != len(header) or not len(values):
-        raise _malformed(path, len(header), f"{values.shape[1]} cells per row")
-    bad = np.argwhere(~np.isfinite(values))
-    if len(bad):
-        i, c = bad[0]
-        raise ValueError(f"{path}: non-finite value at row {_file_row(path, i)}, "
-                         f"column {c + 1}")
+            raise _fault(path, len(header), cause=str(exc)) from None
+    if values.shape[1] != len(header) or not len(values) or not np.isfinite(values).all():
+        raise _fault(path, len(header),
+                     cause=f"{len(values)} rows of {values.shape[1]} cells")
     return header, values
-
-
-def _data_rows(fh):
-    """(file row, cells) of each non-blank row after the header."""
-    rows = enumerate(csv.reader(fh), start=1)
-    next(rows, None)
-    return ((r, row) for r, row in rows if row)
-
-
-def _file_row(path, index: int) -> int:
-    """File row of the index-th data row, counted as _read_csv counts them."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        return next(islice(_data_rows(fh), index, None))[0]
 
 
 def _parses(cell: str) -> bool:
@@ -135,34 +118,37 @@ def _parses(cell: str) -> bool:
     return True
 
 
-def _malformed(path, width: int, cause: str) -> ValueError:
-    """The positioned error for the first data row loadtxt could not take:
-    a cell count that differs from the header's, or a cell it cannot parse."""
+def _fault(path, width: int, label: int | None = None, *, cause: str) -> ValueError:
+    """The error for the first data row, in file order, with a cell count
+    other than width, a cell loadtxt cannot parse, a non-finite value or, in
+    column index label, a fractional number; "no data rows" without rows."""
+    seen = False
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        seen = False
-        for r, row in _data_rows(fh):
+        for r, row in enumerate(csv.reader(fh), start=1):
+            if r == 1 or not row:  # the header and blank rows
+                continue
             seen = True
             if len(row) != width:
                 return ValueError(f"{path}: row {r} has {len(row)} cells, "
                                   f"the header has {width}")
             for c, cell in enumerate(row, start=1):
-                if not _parses(cell):
-                    return ValueError(f"{path}: unparseable cell at row {r}, "
-                                      f"column {c}")
-    if not seen:
-        return ValueError(f"{path}: no data rows")
-    # only where csv and loadtxt split quoted text differently; loadtxt's
-    # own message then locates the cell, counting data rows from 0
-    return ValueError(f"{path}: {cause}")
+                value = float(cell) if _parses(cell) else None
+                fault = ("unparseable cell" if value is None else
+                         "non-finite value" if not math.isfinite(value) else
+                         "non-integer label" if c - 1 == label and value % 1 else None)
+                if fault:
+                    return ValueError(f"{path}: {fault} at row {r}, column {c}")
+    # reached only where csv and loadtxt split quoted text differently; the
+    # caller's cause says what failed (loadtxt counts data rows from 0)
+    return ValueError(f"{path}: {cause}" if seen else f"{path}: no data rows")
 
 
 def _integer_labels(path, values, column) -> np.ndarray:
     """The label column of _read_csv's values; a fractional label is an error."""
     labels = values[:, column]
-    fractional = np.flatnonzero(labels != np.trunc(labels))
-    if len(fractional):
-        raise ValueError(f"{path}: non-integer label at row "
-                         f"{_file_row(path, fractional[0])}, column {column + 1}")
+    if (labels != np.trunc(labels)).any():
+        raise _fault(path, values.shape[1], column,
+                     cause=f"non-integer label in column {column + 1}")
     return labels
 
 

@@ -164,6 +164,22 @@ def test_adapt_bad_target_cell_positioned(pool_csv, tmp_path, text):
     assert "bad_target.csv: " in res.output and "row 3" in res.output
 
 
+@pytest.mark.parametrize("command, required", [
+    ("adapt", ["--source", "s.csv", "--target", "t.csv"]),
+    ("benchmark", ["--pool", "p.csv"]),
+])
+def test_grid_flag_defaults_are_cv_grid_defaults(command, required):
+    # --folds and --trunc-t read CvGrid's own defaults, so the two cannot drift
+    params = main.commands[command].make_context(command, required).params
+    grid = cli._parse_grid(params["c_grid"], params["g_grid"], params["folds"],
+                           params["trunc_t"])
+    assert grid == klr.CvGrid()
+    shown = {line.split()[0]: line.split("[default: ")[-1]
+             for line in run(command, "--help").output.splitlines()
+             if line.lstrip().startswith(("--folds", "--trunc-t"))}
+    assert shown == {"--folds": "5]", "--trunc-t": "1e-08]"}
+
+
 def test_usage_error_exits_2(tmp_path):
     res = run("adapt", "--target", tmp_path / "t.csv")
     assert res.exit_code == 2

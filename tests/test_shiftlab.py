@@ -4,8 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cpmkm import shiftlab
+from cpmkm.cli import _write_csv
 from cpmkm.adapt import reweight_posterior
 from cpmkm.baselines import confusion_estimate
 from cpmkm.cpm import empirical_class_probs
@@ -141,6 +145,130 @@ def test_load_csv_unparseable_cell_positioned(tmp_path):
 def test_csv_errors_positioned(tmp_path, load, text, where):
     with pytest.raises(ValueError, match=where):
         load(write(tmp_path, text))
+
+
+# A fault that _fault names: the cell written in place of a valid one (None
+# drops the row's last cell) and the message, at the file row r and column c
+# of that cell in a file of w columns.
+CSV_FAULTS = {
+    "short-row": (None, "row {r} has {n} cells, the header has {w}"),
+    "letter": ("x", "unparseable cell at row {r}, column {c}"),
+    "underscore": ("1_000", "unparseable cell at row {r}, column {c}"),
+    "nan": ("nan", "non-finite value at row {r}, column {c}"),
+    "inf": ("inf", "non-finite value at row {r}, column {c}"),
+    "fractional-label": ("1.5", "non-integer label at row {r}, column {c}"),
+}
+
+
+def _cell(draw, value):
+    """The cell text of a valid value, quoted at random."""
+    text = repr(value)
+    return f'"{text}"' if draw(st.booleans()) else text
+
+
+@st.composite
+def csv_files(draw):
+    """(label column index or None, lines): a valid header CSV of finite
+    floats, and integers in the label column, with random blank rows; a
+    data line is a list of cells, a blank row the empty list."""
+    width = draw(st.integers(2, 4))
+    label = draw(st.none() | st.integers(0, width - 1))
+    header = ["label" if c == label else f"x{c}" for c in range(width)]
+    lines = [header]
+    for _ in range(draw(st.integers(2, 6))):
+        lines += [[]] * draw(st.integers(0, 2))
+        lines.append([_cell(draw, draw(st.integers(-3, 3)) if c == label else
+                            draw(st.floats(allow_nan=False, allow_infinity=False)))
+                      for c in range(width)])
+    return label, lines
+
+
+def _write_lines(tmp_path_factory, lines):
+    path = tmp_path_factory.getbasetemp() / "fault.csv"
+    path.write_text("\n".join(",".join(line) for line in lines) + "\n")
+    return path
+
+
+@settings(deadline=None, max_examples=40)
+@given(csv_files())
+def test_valid_csv_reads_every_cell(tmp_path_factory, file):
+    _, lines = file
+    values = load_feature_csv(_write_lines(tmp_path_factory, lines))
+    expect = [[float(cell.strip('"')) for cell in line] for line in lines[1:] if line]
+    assert values.tolist() == expect
+
+
+def _inject(data, label, lines, row):
+    """Put a random fault into data line `row`; its kind, file row and column."""
+    kinds = [k for k in CSV_FAULTS if label is not None or k != "fractional-label"]
+    kind = data.draw(st.sampled_from(kinds), label="kind")
+    text = CSV_FAULTS[kind][0]
+    line = list(lines[row])
+    if text is None:
+        line.pop()
+        column = None
+    else:
+        column = label if kind == "fractional-label" else \
+            data.draw(st.integers(0, len(line) - 1), label="column")
+        line[column] = text
+    lines[row] = line
+    return kind, row + 1, column
+
+
+def _load_fault(tmp_path_factory, label, lines):
+    path = _write_lines(tmp_path_factory, lines)
+    with pytest.raises(ValueError) as info:
+        load_feature_csv(path) if label is None else load_csv(path, "label")
+    return path, str(info.value)
+
+
+def _message(path, lines, kind, r, column):
+    w = len(lines[0])
+    where = CSV_FAULTS[kind][1].format(r=r, n=w - 1, w=w, c=(column or 0) + 1)
+    return f"{path}: {where}"
+
+
+@settings(deadline=None, max_examples=120)
+@given(csv_files(), st.data())
+def test_csv_fault_named_at_its_row_and_column(tmp_path_factory, file, data):
+    label, lines = file
+    rows = [i for i, line in enumerate(lines) if i and line]
+    kind, r, column = _inject(data, label, lines, data.draw(st.sampled_from(rows)))
+    path, message = _load_fault(tmp_path_factory, label, lines)
+    assert message == _message(path, lines, kind, r, column)
+
+
+@settings(deadline=None, max_examples=120)
+@given(csv_files(), st.data())
+def test_csv_first_fault_in_file_order_named(tmp_path_factory, file, data):
+    # a fractional label is a fault only once every cell parses and is
+    # finite; of any other two, the earlier row is named, whichever check
+    # (loadtxt's parse or the finite test on its result) fails first
+    label, lines = file
+    rows = [i for i, line in enumerate(lines) if i and line]
+    picked = data.draw(st.lists(st.sampled_from(rows), min_size=2, max_size=2,
+                                unique=True))
+    faults = [_inject(data, label, lines, row) for row in picked]
+    path, message = _load_fault(tmp_path_factory, label, lines)
+    reading = [f for f in faults if f[0] != "fractional-label"]
+    first = min(reading or faults, key=lambda f: f[1])
+    assert message == _message(path, lines, *first)
+
+
+@settings(deadline=None, max_examples=60)
+@given(arrays(float, st.tuples(st.integers(2, 8), st.integers(1, 3)),
+              elements=st.floats(allow_nan=False, allow_infinity=False)
+              | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308])),
+       st.lists(st.integers(-10**6, 10**6), min_size=8, max_size=8, unique=True))
+def test_written_csv_reads_back_exactly(tmp_path_factory, features, label_values):
+    # simulate's writer and load_csv: features bit for bit (±0 and
+    # subnormals included), labels as the file's values
+    labels = np.array(label_values[:len(features)])
+    path = tmp_path_factory.getbasetemp() / "roundtrip.csv"
+    _write_csv(path, features, labels)
+    data = load_csv(path, "label")
+    assert data.features.tobytes() == features.tobytes()
+    assert data.classes[data.labels - 1].tolist() == labels.tolist()
 
 
 @pytest.mark.parametrize("text", ["a,b,label\n", "a,b,label\n\n"],
