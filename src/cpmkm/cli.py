@@ -22,7 +22,7 @@ import numpy as np
 from .adapt import adapt_pipeline, predict_target, target_class_probs
 from .data import load_csv, load_feature_csv, load_label_csv, standardize_columns
 from .klr import CvGrid
-from .shiftlab import (ShiftSpec, aggregate, metric_acc, metric_mse,
+from .shiftlab import (METHODS, ShiftSpec, aggregate, metric_acc, metric_mse,
                        run_benchmark, sample_shift_scenario)
 
 SCHEMA_VERSION = 1
@@ -193,7 +193,7 @@ def cmd_adapt(source_path, target_path, label_column, standardize, seed, out_pat
 @main.command("benchmark")
 @scenario_options
 @click.option("--standardize/--no-standardize", default=True, show_default=True)
-@click.option("--methods", default="cpmkm,bbse,rlls,mlls", show_default=True)
+@click.option("--methods", default=",".join(METHODS), show_default=True)
 @click.option("--source-reps", default=10, show_default=True)
 @click.option("--target-reps", default=10, show_default=True)
 @click.option("--out", "out_path", default="benchmark.json", show_default=True)

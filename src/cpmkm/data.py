@@ -105,26 +105,26 @@ def _read_csv(path) -> tuple[list[str], np.ndarray]:
     return header, values
 
 
-def _parses(cell: str) -> bool:
-    """Whether loadtxt reads the cell as a float: float() syntax in ASCII,
+def _value(cell: str) -> float | None:
+    """The cell's float as loadtxt reads it, or None: float() syntax in ASCII,
     without the digit-group underscores and non-ASCII digits float() takes."""
     text = cell.strip()
     if "_" in text or not text.isascii():
-        return False
+        return None
     try:
-        float(text)
+        return float(text)
     except ValueError:
-        return False
-    return True
+        return None
 
 
 def _fault(path, width: int, label: int | None = None, *, cause: str) -> ValueError:
     """The error for the first data row, in file order, with a cell count
     other than width, a cell loadtxt cannot parse, a non-finite value or, in
     column index label, a fractional number; "no data rows" without rows."""
-    seen = False
+    seen, start = False, 1
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        for r, row in enumerate(csv.reader(fh), start=1):
+        for row in (rows := csv.reader(fh)):
+            r, start = start, rows.line_num + 1  # r: the file line this record starts on
             if r == 1 or not row:  # the header and blank rows
                 continue
             seen = True
@@ -132,7 +132,7 @@ def _fault(path, width: int, label: int | None = None, *, cause: str) -> ValueEr
                 return ValueError(f"{path}: row {r} has {len(row)} cells, "
                                   f"the header has {width}")
             for c, cell in enumerate(row, start=1):
-                value = float(cell) if _parses(cell) else None
+                value = _value(cell)
                 fault = ("unparseable cell" if value is None else
                          "non-finite value" if not math.isfinite(value) else
                          "non-integer label" if c - 1 == label and value % 1 else None)

@@ -180,6 +180,13 @@ def test_grid_flag_defaults_are_cv_grid_defaults(command, required):
     assert shown == {"--folds": "5]", "--trunc-t": "1e-08]"}
 
 
+def test_methods_flag_default_is_shiftlab_methods():
+    # --methods reads shiftlab.METHODS, so the two cannot drift
+    params = main.commands["benchmark"].make_context("benchmark", ["--pool", "p.csv"]).params
+    assert tuple(params["methods"].split(",")) == shiftlab.METHODS
+    assert "[default: cpmkm,bbse,rlls,mlls]" in run("benchmark", "--help").output
+
+
 def test_usage_error_exits_2(tmp_path):
     res = run("adapt", "--target", tmp_path / "t.csv")
     assert res.exit_code == 2
@@ -443,11 +450,11 @@ def test_adapt_two_classes_one_target_row_document(tmp_path):
     assert [3, 7][predicted[0] - 1] == label
 
 
-def modules_loaded_by_cli_import(prefix, then=""):
+def modules_loaded_by_import(prefix, then="", imports="cpmkm.cli"):
     """Names starting with `prefix` in sys.modules after a fresh interpreter
-    runs `import cpmkm.cli` and then the statements `then`."""
+    runs `import <imports>` and then the statements `then`."""
     src = str(Path(cpmkm.__file__).resolve().parents[1])
-    code = "\n".join([f"import sys; sys.path.insert(0, {src!r})", "import cpmkm.cli", then,
+    code = "\n".join([f"import sys; sys.path.insert(0, {src!r})", f"import {imports}", then,
                       f"print([m for m in sys.modules if m.startswith({prefix!r})])"])
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
@@ -455,17 +462,23 @@ def modules_loaded_by_cli_import(prefix, then=""):
 
 
 def test_import_cli_skips_selftest():
-    assert modules_loaded_by_cli_import("cpmkm.selftest") == "[]"
+    assert modules_loaded_by_import("cpmkm.selftest") == "[]"
 
 
 def test_import_cli_skips_scipy_optimize():
     # the KLR and CPM solvers are numpy loops: starting the CLI loads no optimizer
-    assert modules_loaded_by_cli_import("scipy.optimize") == "[]"
+    assert modules_loaded_by_import("scipy.optimize") == "[]"
+
+
+def test_import_data_and_kernel_skips_scipy():
+    # the package __init__ imports no submodule, so reading CSVs and building
+    # Grams does not load the fit path's scipy
+    assert modules_loaded_by_import("scipy", imports="cpmkm.data, cpmkm.kernel") == "[]"
 
 
 def test_import_cli_skips_scipy_linalg_init():
     # klr.py loads the LAPACK extension by itself, not through scipy.linalg
-    assert modules_loaded_by_cli_import("scipy.linalg") == "['scipy.linalg._flapack']"
+    assert modules_loaded_by_import("scipy.linalg") == "['scipy.linalg._flapack']"
 
 
 def test_adapt_run_skips_scipy_linalg_init(pool_csv, tmp_path):
@@ -479,7 +492,7 @@ def test_adapt_run_skips_scipy_linalg_init(pool_csv, tmp_path):
             "--target", str(tmp_path / "target.csv"), "--out", str(out),
             "--c-grid", "1", "--g-grid", "1", "--folds", "2"]
     then = f"cpmkm.cli.main.main({args!r}, standalone_mode=False)"
-    assert modules_loaded_by_cli_import("scipy.linalg", then) == "['scipy.linalg._flapack']"
+    assert modules_loaded_by_import("scipy.linalg", then) == "['scipy.linalg._flapack']"
     assert len(json.loads(out.read_text())["target_labels"]) == 40
 
 

@@ -138,10 +138,13 @@ def test_load_csv_unparseable_cell_positioned(tmp_path):
     (load_feature_csv, "a,b\n1.0\n2.0\n", "row 2 has 1 cells, the header has 2"),
     (load_feature_csv, "a,b\n1.0,2.0\n3.0,1_000\n", "unparseable cell at row 3, column 2"),
     (load_feature_csv, "a,b\n1.0,2.0\n\u0663,4.0\n", "unparseable cell at row 3, column 1"),
+    (load_feature_csv, 'a,b\n"1\n",2\nnan,3\n', "non-finite value at row 4, column 1"),
+    (load_feature_csv, 'a,b\n"1\n",3\n4,x\n', "unparseable cell at row 4, column 2"),
 ], ids=["feature-nan", "feature-short-row", "feature-bad-cell", "labeled-inf",
         "labeled-short-row", "labeled-fractional-label", "label-fractional",
         "feature-nan-after-blank-rows", "labeled-fractional-after-blank-rows",
-        "feature-every-row-short", "feature-underscore-digits", "feature-non-ascii-digit"])
+        "feature-every-row-short", "feature-underscore-digits", "feature-non-ascii-digit",
+        "feature-nan-after-multiline-cell", "feature-bad-cell-after-multiline-cell"])
 def test_csv_errors_positioned(tmp_path, load, text, where):
     with pytest.raises(ValueError, match=where):
         load(write(tmp_path, text))
