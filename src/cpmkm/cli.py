@@ -147,7 +147,7 @@ scenario_options = _options([
     click.option("--np", "n_p", default=500, show_default=True),
     click.option("--nq", "n_q", default=500, show_default=True),
     click.option("--nt", "n_t", default=500, show_default=True),
-    click.option("--seed", default=0, show_default=True),
+    click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0)),
 ])
 
 
@@ -156,7 +156,7 @@ scenario_options = _options([
 @click.option("--target", "target_path", required=True, type=click.Path())
 @click.option("--label-column", default="label", show_default=True)
 @click.option("--standardize/--no-standardize", default=True, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", "out_path", default="adapted.json", show_default=True)
 @config_option
 @grid_options
@@ -215,7 +215,7 @@ def cmd_benchmark(pool_path, label_column, alpha, mq, n_p, n_q, n_t, seed, stand
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "spec": {**asdict(spec), "source_reps": source_reps,
                  "target_reps": target_reps, "methods": list(method_list)},
-        "reports": [r.to_dict() for r in reports],
+        "reports": reports,
         "aggregate": table,
     })
     for name, row in table.items():

@@ -8,7 +8,7 @@ fitted model, and records ACC/MSE per repetition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,28 +55,6 @@ class ShiftSpec:
             raise ValueError("sample sizes must be at least 1")
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    method: str
-    acc: float
-    mse: float
-    w_hat: tuple
-    q_hat: tuple
-    q_true: tuple
-    seed_pair: tuple
-    model_fingerprint: str = ""
-
-    def to_dict(self):
-        # shallow: asdict would deep-copy every tuple of every report
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-def _uniform_source_counts(n_p: int, m: int) -> np.ndarray:
-    counts = np.full(m, n_p // m)
-    counts[: n_p % m] += 1  # remainder to the lowest class indices
-    return counts
-
-
 def _draw_by_class(pool: Dataset, counts, rng: np.random.Generator,
                    available: np.ndarray) -> np.ndarray:
     """Pick `counts[y]` indices per class from `available`, without replacement."""
@@ -96,7 +74,8 @@ def _draw_by_class(pool: Dataset, counts, rng: np.random.Generator,
 
 def sample_source(pool: Dataset, n_p: int, seed: tuple) -> tuple[Dataset, np.ndarray]:
     """Uniform-prior source draw; returns the Dataset and the used indices."""
-    counts = _uniform_source_counts(n_p, pool.num_classes)
+    counts = np.full(pool.num_classes, n_p // pool.num_classes)
+    counts[: n_p % pool.num_classes] += 1  # remainder to the lowest class indices
     idx = _draw_by_class(pool, counts, _rng(seed, _STREAM_SOURCE),
                          np.ones(len(pool), dtype=bool))
     return pool.subset(idx), idx
@@ -185,7 +164,7 @@ def estimate_weights(method: str, confusion, source_priors,
 
 
 def run_benchmark(pool: Dataset, spec: ShiftSpec, methods, source_reps: int,
-                  target_reps: int, cv_grid: CvGrid) -> list[EvalReport]:
+                  target_reps: int, cv_grid: CvGrid) -> list[dict]:
     """Repeated-trial protocol: fit once per source draw, resample targets.
 
     Every method in a cell consumes the same fitted model and the same
@@ -229,25 +208,25 @@ def run_benchmark(pool: Dataset, spec: ShiftSpec, methods, source_reps: int,
                     w = np.ones_like(w)
                 q_hat = target_class_probs(w, priors)
                 pred = np.argmax(reweight_posterior(test_probs, w), axis=1) + 1
-                reports.append(EvalReport(
-                    method=name,
-                    acc=metric_acc(pred, pool.labels[test_idx]),
-                    mse=metric_mse(q_hat, q_true),
-                    w_hat=tuple(float(v) for v in w),
-                    q_hat=tuple(float(v) for v in q_hat),
-                    q_true=tuple(float(v) for v in q_true),
-                    seed_pair=(s, t),
-                    model_fingerprint=fingerprint,
-                ))
+                reports.append({
+                    "method": name,
+                    "acc": metric_acc(pred, pool.labels[test_idx]),
+                    "mse": metric_mse(q_hat, q_true),
+                    "w_hat": tuple(float(v) for v in w),
+                    "q_hat": tuple(float(v) for v in q_hat),
+                    "q_true": tuple(float(v) for v in q_true),
+                    "seed_pair": (s, t),
+                    "model_fingerprint": fingerprint,
+                })
     return reports
 
 
 def aggregate(reports) -> dict:
-    """Per-method mean and standard deviation of ACC and MSE."""
+    """Per-method mean and standard deviation of ACC and MSE over report rows."""
     out = {}
-    for name in sorted({r.method for r in reports}):
-        accs = np.array([r.acc for r in reports if r.method == name])
-        mses = np.array([r.mse for r in reports if r.method == name])
+    for name in sorted({r["method"] for r in reports}):
+        accs = np.array([r["acc"] for r in reports if r["method"] == name])
+        mses = np.array([r["mse"] for r in reports if r["method"] == name])
         out[name] = {
             "acc_mean": float(accs.mean()), "acc_std": float(accs.std()),
             "mse_mean": float(mses.mean()), "mse_std": float(mses.std()),

@@ -193,6 +193,35 @@ def test_usage_error_exits_2(tmp_path):
     assert "--source" in res.output
 
 
+# simulate has no --config
+@pytest.mark.parametrize("command, via", [
+    ("adapt", "flag"), ("simulate", "flag"), ("benchmark", "flag"),
+    ("adapt", "config"), ("benchmark", "config"),
+])
+def test_negative_seed_is_usage_error_before_any_read(pool_csv, scenario, tmp_path,
+                                                      monkeypatch, command, via):
+    def no_read(*args, **kwargs):
+        raise AssertionError("read an input file")
+
+    monkeypatch.setattr(cli, "load_csv", no_read)
+    monkeypatch.setattr(cli, "load_feature_csv", no_read)
+    args = (["--source", scenario["source_path"], "--target", scenario["target_path"]]
+            if command == "adapt" else ["--pool", pool_csv])
+    if via == "flag":
+        args += ["--seed", "-1"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        args += ["--config", cfg]
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)  # default output paths in work
+    res = run(command, *args)
+    assert res.exit_code == 2, res.output
+    assert "--seed" in res.output
+    assert list(work.iterdir()) == []
+
+
 @pytest.mark.parametrize("c_grid, g_grid", [("nan", "1"), ("1,inf", "1"), ("1", "0.5,-inf")],
                          ids=["c-nan", "c-inf", "g-minus-inf"])
 def test_nonfinite_grid_rejected_before_any_fit(scenario, monkeypatch, c_grid, g_grid):
@@ -367,6 +396,8 @@ def test_benchmark_single_report(pool_csv, tmp_path):
     doc = json.loads(out.read_text())
     assert len(doc["reports"]) == 1
     assert doc["reports"][0]["method"] == "cpmkm"
+    assert list(doc["reports"][0]) == ["method", "acc", "mse", "w_hat", "q_hat",
+                                       "q_true", "seed_pair", "model_fingerprint"]
 
 
 def test_benchmark_deterministic(pool_csv, tmp_path):
