@@ -102,7 +102,9 @@ def _write_text(path, text: str):
 
 
 def _write_json(path, payload):
-    _write_text(path, json.dumps(payload, indent=2) + "\n")
+    """Write payload as a JSON document whose first key is schema_version."""
+    doc = {"schema_version": SCHEMA_VERSION, **payload}
+    _write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 def _write_csv(path, features, labels):
@@ -178,7 +180,6 @@ def cmd_adapt(source_path, target_path, label_column, standardize, seed, out_pat
     _, labels = predict_target(model, target_x)
     q_y = target_class_probs(model.weights, model.source_priors)
     _write_json(out_path, {
-        "schema_version": SCHEMA_VERSION,
         "adapted_model": model.to_dict(),
         "w_hat": list(model.weights),
         "q_hat": list(q_y),
@@ -211,7 +212,6 @@ def cmd_benchmark(pool_path, label_column, alpha, mq, n_p, n_q, n_t, seed, stand
     reports = run_benchmark(pool, spec, method_list, source_reps, target_reps, grid)
     table = aggregate(reports)
     _write_json(out_path, {
-        "schema_version": SCHEMA_VERSION,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "spec": {**asdict(spec), "source_reps": source_reps,
                  "target_reps": target_reps, "methods": list(method_list)},
@@ -237,8 +237,7 @@ def cmd_simulate(pool_path, label_column, alpha, mq, n_p, n_q, n_t, seed, out_di
     _write_csv(out / "source.csv", source.features, pool.classes[source.labels - 1])
     _write_csv(out / "target.csv", target_x, None)
     _write_csv(out / "test.csv", test.features, pool.classes[test.labels - 1])
-    _write_json(out / "q_true.json", {"schema_version": SCHEMA_VERSION,
-                                      "q_true": q_true.tolist()})
+    _write_json(out / "q_true.json", {"q_true": q_true.tolist()})
     click.echo(f"wrote scenario to {out}/")
 
 

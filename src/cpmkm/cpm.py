@@ -50,18 +50,19 @@ def empirical_class_probs(labels, num_classes: int) -> np.ndarray:
     return np.bincount(labels - 1, minlength=num_classes) / labels.size
 
 
-def _check_w(w, num_classes: int) -> np.ndarray:
+def _state_at(problem: MatchProblem, w):
+    """_state at a caller's w, checked: the one entry of the public views."""
     w = np.asarray(w, dtype=float)
-    if w.shape != (num_classes,):
-        raise ValueError(f"w must have length {num_classes}")
+    if w.shape != (problem.num_classes,):
+        raise ValueError(f"w must have length {problem.num_classes}")
     if np.any(w < 0) or not np.any(w > 0):
         raise ValueError("w must be nonnegative with at least one positive entry")
-    return w
+    return _state(w, problem.p_hat, problem.target_probs.T)
 
 
 def reweighted_target_probs(problem: MatchProblem, w) -> np.ndarray:
     """(1/n_q) sum_i p_hat(y|X_i) / sum_m w_m p_hat(m|X_i): the class means of _state's a."""
-    buf = _state(_check_w(w, problem.num_classes), problem.p_hat, problem.target_probs.T)[0]
+    buf = _state_at(problem, w)[0]
     return buf[:problem.num_classes].sum(axis=1) / buf.shape[1]
 
 
@@ -86,14 +87,11 @@ def _products(buf: np.ndarray, r: np.ndarray):
 
 
 def cpm_objective(problem: MatchProblem, w) -> float:
-    return _state(_check_w(w, problem.num_classes), problem.p_hat,
-                  problem.target_probs.T)[2]
+    return _state_at(problem, w)[2]
 
 
 def cpm_gradient(problem: MatchProblem, w) -> np.ndarray:
-    buf, r, _ = _state(_check_w(w, problem.num_classes), problem.p_hat,
-                       problem.target_probs.T)
-    return _products(buf, r)[2]
+    return _products(*_state_at(problem, w)[:2])[2]
 
 
 def _newton_step(jac: np.ndarray, curv: np.ndarray, g: np.ndarray,

@@ -53,6 +53,8 @@ class ShiftSpec:
             raise ValueError("m_q must be at least 1")
         if min(self.n_p, self.n_q, self.n_t) < 1:
             raise ValueError("sample sizes must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def _draw_by_class(pool: Dataset, counts, rng: np.random.Generator,
@@ -61,15 +63,13 @@ def _draw_by_class(pool: Dataset, counts, rng: np.random.Generator,
     chosen = []
     for cls in range(1, pool.num_classes + 1):
         want = int(counts[cls - 1])
-        if want == 0:
-            continue
         idx = np.flatnonzero(available & (pool.labels == cls))
         if len(idx) < want:
             raise ValueError(
                 f"pool exhausted for class {pool.class_value(cls)}: "
                 f"need {want}, have {len(idx)}")
         chosen.append(rng.choice(idx, size=want, replace=False))
-    return np.concatenate(chosen) if chosen else np.array([], dtype=int)
+    return np.concatenate(chosen)
 
 
 def sample_source(pool: Dataset, n_p: int, seed: tuple) -> tuple[Dataset, np.ndarray]:

@@ -400,6 +400,24 @@ def test_benchmark_single_report(pool_csv, tmp_path):
                                        "q_true", "seed_pair", "model_fingerprint"]
 
 
+def test_every_document_starts_with_schema_version(pool_csv, tmp_path):
+    # one writer stamps the key; no command spells it out
+    res = run("simulate", "--pool", pool_csv, "--np", "150", "--nq", "100",
+              "--nt", "30", "--seed", "2", "--out-dir", tmp_path / "scen")
+    assert res.exit_code == 0, res.output
+    res = run("adapt", "--source", tmp_path / "scen" / "source.csv",
+              "--target", tmp_path / "scen" / "target.csv",
+              "--out", tmp_path / "adapted.json", *FAST)
+    assert res.exit_code == 0, res.output
+    res = run("benchmark", "--pool", pool_csv, "--np", "150", "--nq", "100",
+              "--nt", "100", "--methods", "cpmkm", "--source-reps", "1",
+              "--target-reps", "1", "--out", tmp_path / "bench.json", *FAST)
+    assert res.exit_code == 0, res.output
+    for path in ("scen/q_true.json", "adapted.json", "bench.json"):
+        doc = json.loads((tmp_path / path).read_text())
+        assert list(doc.items())[0] == ("schema_version", 1)
+
+
 def test_benchmark_deterministic(pool_csv, tmp_path):
     args = ["benchmark", "--pool", pool_csv, "--np", "150", "--nq", "100",
             "--nt", "100", "--methods", "cpmkm,bbse", "--source-reps", "1",

@@ -317,6 +317,14 @@ def test_solve_near_singular_hessian():
     assert cpm_objective(problem, w) <= lbfgsb_objective(problem, w) + 1e-15
 
 
+def test_solve_returns_start_when_both_arcs_fail(monkeypatch):
+    # no step passes an Armijo test of this size, neither along the Newton
+    # arc nor along the projected gradient: the solve returns w0 silently
+    monkeypatch.setattr(cpm, "ARMIJO", 1e300)
+    problem = random_problem(np.random.default_rng(9), m=3, nq=10)
+    assert np.array_equal(cpm_solve(problem), np.ones(3))
+
+
 # ------------------------------------- CPM and MLLS solve the same equations
 
 def mixture_draw(q, seed, shrink=0.0, n=2000):

@@ -561,6 +561,23 @@ def test_fit_back_solve_illegal_argument_raises(monkeypatch):
         klr_fit(class_draw(2, False), KernelParams(0.5), 0.01, 1e-8)
 
 
+def test_factor_illegal_argument_raises(monkeypatch):
+    monkeypatch.setattr(klr, "dpstrf", lambda a, **kwargs: (a, np.arange(1, len(a) + 1),
+                                                            len(a), -3))
+    with pytest.raises(np.linalg.LinAlgError, match="^dpstrf: illegal value in argument 3$"):
+        pivoted_factor(class_draw(2, False).features, KernelParams(0.5))
+
+
+def test_fit_stalled_line_search_warns_and_keeps_start(monkeypatch):
+    # an ascent direction fails the Armijo test down to T_MIN: the fit stops
+    # at its first iteration, warns, and returns the start alpha = 0
+    monkeypatch.setattr(klr, "_newton_direction", lambda chol, probs, lam, grad: grad.copy())
+    data = class_draw(3, False)
+    with pytest.warns(RuntimeWarning, match=r"^klr_fit did not converge \(Newton iterations 0, "):
+        model = klr_fit(data, KernelParams(0.5), 0.01, 1e-8)
+    assert not model.alpha.any()
+
+
 def test_lapack_routines_are_scipys():
     # klr.py loads the extension scipy.linalg.lapack exports them from
     assert klr.dpstrf is scipy.linalg.lapack.dpstrf

@@ -400,6 +400,26 @@ def test_spec_validation():
             ShiftSpec(alpha=alpha, m_q=2, n_p=10, n_q=10, n_t=10)
 
 
+def test_spec_rejects_negative_seed():
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        ShiftSpec(alpha=1.0, m_q=3, n_p=30, n_q=30, n_t=30, seed=-1)
+
+
+def test_draw_by_class_skips_zero_counts_without_using_the_generator():
+    # a zero count draws nothing and leaves the generator where it was, so
+    # counts (k1, 0, k3) pick what class 1 and then class 3 alone would
+    pool = gaussian_mixture_pool(120, seed=2)
+    available = np.ones(len(pool), dtype=bool)
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    drawn = shiftlab._draw_by_class(pool, [4, 0, 6], rng, available)
+    expected = [ref.choice(np.flatnonzero(pool.labels == cls), size=k, replace=False)
+                for cls, k in ((1, 4), (3, 6))]
+    assert drawn.tolist() == np.concatenate(expected).tolist()
+    assert rng.random() == ref.random()
+    empty = shiftlab._draw_by_class(pool, [0, 0, 0], rng, available)
+    assert empty.dtype == np.int64 and empty.shape == (0,)
+
+
 # ----------------------------------------------------------------- metrics
 
 def test_acc_examples():
