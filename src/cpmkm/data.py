@@ -26,15 +26,18 @@ class Dataset:
     features: np.ndarray     # (n, d)
     labels: np.ndarray       # (n,) ints in 1..M
     num_classes: int
-    # label m stands for the value classes[m - 1] of the file load_csv read
+    # label m stands for the file value classes[m - 1]; without a file, None stores 1..M
     classes: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         features = np.atleast_2d(np.asarray(self.features, dtype=float)).view()
         labels = np.asarray(self.labels, dtype=int).view()
-        features.flags.writeable = labels.flags.writeable = False
+        classes = np.asarray(self.classes if self.classes is not None
+                             else np.arange(1, self.num_classes + 1)).view()
+        features.flags.writeable = labels.flags.writeable = classes.flags.writeable = False
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "classes", classes)
         if len(labels) != features.shape[0]:
             raise ValueError("features and labels disagree on sample count")
         if len(labels) < 1:
@@ -49,10 +52,6 @@ class Dataset:
     @property
     def dim(self):
         return self.features.shape[1]
-
-    def class_value(self, cls: int):
-        """The file's label value of class cls (cls itself without a file)."""
-        return cls if self.classes is None else int(self.classes[cls - 1])
 
     def subset(self, indices) -> "Dataset":
         return Dataset(features=self.features[indices], labels=self.labels[indices],

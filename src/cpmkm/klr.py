@@ -331,7 +331,7 @@ def klr_fit(data, kernel: KernelParams, lam: float, trunc_t: float,
     n = x.shape[0]
     counts = np.bincount(labels - 1, minlength=m)
     if (counts == 0).any():
-        missing = data.class_value(int(np.argmin(counts)) + 1)
+        missing = int(data.classes[np.argmin(counts)])
         raise ValueError(f"class {missing} has no source examples")
     chol, perm = pivoted_factor(x, kernel) if factor is None else factor
     if chol.shape[0] != n:

@@ -57,6 +57,11 @@ class ShiftSpec:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
+def _exhausted(pool: Dataset, cls: int, need: int, have: int) -> ValueError:
+    return ValueError(f"pool exhausted for class {int(pool.classes[cls - 1])}: "
+                      f"need {need}, have {have}")
+
+
 def _draw_by_class(pool: Dataset, counts, rng: np.random.Generator,
                    available: np.ndarray) -> np.ndarray:
     """Pick `counts[y]` indices per class from `available`, without replacement."""
@@ -65,20 +70,28 @@ def _draw_by_class(pool: Dataset, counts, rng: np.random.Generator,
         want = int(counts[cls - 1])
         idx = np.flatnonzero(available & (pool.labels == cls))
         if len(idx) < want:
-            raise ValueError(
-                f"pool exhausted for class {pool.class_value(cls)}: "
-                f"need {want}, have {len(idx)}")
+            raise _exhausted(pool, cls, want, len(idx))
         chosen.append(rng.choice(idx, size=want, replace=False))
     return np.concatenate(chosen)
 
 
+def _source_counts(num_classes: int, n_p: int) -> np.ndarray:
+    """Rows per class of the uniform-prior source draw."""
+    counts = np.full(num_classes, n_p // num_classes)
+    counts[: n_p % num_classes] += 1  # remainder to the lowest class indices
+    return counts
+
+
 def sample_source(pool: Dataset, n_p: int, seed: tuple) -> tuple[Dataset, np.ndarray]:
     """Uniform-prior source draw; returns the Dataset and the used indices."""
-    counts = np.full(pool.num_classes, n_p // pool.num_classes)
-    counts[: n_p % pool.num_classes] += 1  # remainder to the lowest class indices
-    idx = _draw_by_class(pool, counts, _rng(seed, _STREAM_SOURCE),
-                         np.ones(len(pool), dtype=bool))
+    idx = _draw_by_class(pool, _source_counts(pool.num_classes, n_p),
+                         _rng(seed, _STREAM_SOURCE), np.ones(len(pool), dtype=bool))
     return pool.subset(idx), idx
+
+
+def _support(num_classes: int, m_q: int, seed: tuple) -> np.ndarray:
+    """The m_q classes (0-based) that a cell's target and test sets draw from."""
+    return _rng(seed, _STREAM_CLASS_CHOICE).choice(num_classes, size=m_q, replace=False)
 
 
 def check_support(pool: Dataset, spec: ShiftSpec):
@@ -90,12 +103,29 @@ def check_support(pool: Dataset, spec: ShiftSpec):
                          f"exceeds the pool's {len(pool)} rows")
 
 
+def _check_one_class(pool: Dataset, spec: ShiftSpec, seeds):
+    """With m_q = 1 each cell's n_q target and n_t test rows come from its one class:
+    raise, before any draw, the error of the first cell at `seeds` whose class runs
+    out after the source draw (a source draw that runs out raises its own)."""
+    if spec.m_q > 1:
+        return
+    left = (np.bincount(pool.labels - 1, minlength=pool.num_classes)
+            - _source_counts(pool.num_classes, spec.n_p))
+    if left.min() < 0:
+        return
+    for seed in seeds:
+        cls = int(_support(pool.num_classes, 1, seed)[0])
+        for need, have in ((spec.n_q, left[cls]), (spec.n_t, left[cls] - spec.n_q)):
+            if have < need:
+                raise _exhausted(pool, cls + 1, need, have)
+
+
 def sample_target_test(pool: Dataset, spec: ShiftSpec, seed: tuple,
                        exclude: np.ndarray):
     """Draw q_true and the pool indices of a target and a disjoint test set."""
     check_support(pool, spec)
     m = pool.num_classes
-    support = _rng(seed, _STREAM_CLASS_CHOICE).choice(m, size=spec.m_q, replace=False)
+    support = _support(m, spec.m_q, seed)
     q_true = np.zeros(m)
     q_true[np.sort(support)] = _rng(seed, _STREAM_DIRICHLET).dirichlet(
         np.full(spec.m_q, spec.alpha))
@@ -115,6 +145,7 @@ def sample_target_test(pool: Dataset, spec: ShiftSpec, seed: tuple,
 def sample_shift_scenario(pool: Dataset, spec: ShiftSpec):
     """One full scenario: (source, target features, test, q_true)."""
     check_support(pool, spec)
+    _check_one_class(pool, spec, [(spec.seed,)])
     source, used = sample_source(pool, spec.n_p, (spec.seed,))
     q_true, target_idx, test_idx = sample_target_test(pool, spec, (spec.seed,), used)
     return source, pool.features[target_idx], pool.subset(test_idx), q_true
@@ -154,8 +185,7 @@ def estimate_weights(method: str, confusion, source_priors,
         return cpm_solve(MatchProblem(p_hat=source_priors,
                                       target_probs=target_probs))
     if method in ("bbse", "rlls"):
-        pred = np.argmax(target_probs, axis=1)
-        mu = np.bincount(pred, minlength=target_probs.shape[1]) / len(pred)
+        mu = empirical_class_probs(np.argmax(target_probs, axis=1) + 1, target_probs.shape[1])
         solve = bbse_solve if method == "bbse" else rlls_solve
         return solve(confusion, mu)
     if method == "mlls":
@@ -179,6 +209,8 @@ def run_benchmark(pool: Dataset, spec: ShiftSpec, methods, source_reps: int,
                          f"got {source_reps} and {target_reps}")
     check_trunc_t(cv_grid.trunc_t, pool.num_classes)
     check_support(pool, spec)
+    _check_one_class(pool, spec, [(spec.seed, s, t) for s in range(source_reps)
+                                  for t in range(target_reps)])
     reports = []
     for s in range(source_reps):
         source, used = sample_source(pool, spec.n_p, (spec.seed, s))

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpmkm.adapt import (AdaptedModel, adapt_pipeline, predict_target,
                          reweight_posterior, target_class_probs)
@@ -261,6 +263,42 @@ def test_pipeline_edge_cases_give_valid_estimates(name):
     assert pred.shape == (len(tx),) and np.all((pred >= 1) & (pred <= m))
     if name == "one-class-target":  # every target row is of class 3
         assert np.argmax(q) == 2
+
+
+@st.composite
+def _edge_draws(draw):
+    """Source rows, labels and target rows of Gaussian blobs: M in 2..10, d in
+    1..50, 2 to 12 rows per class (doubled when rows are duplicated), 1 to 30
+    target rows, features scaled by up to 1e3 and offset by up to 1e4."""
+    m, d = draw(st.integers(2, 10)), draw(st.integers(1, 50))
+    counts = draw(st.lists(st.integers(2, 12), min_size=m, max_size=m))
+    n_q = draw(st.integers(1, 30))
+    scale, offset = draw(st.floats(1e-3, 1e3)), draw(st.floats(-1e4, 1e4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centres = 3.0 * rng.standard_normal((m, d))
+    labels = np.repeat(np.arange(1, m + 1), counts)
+    x = centres[labels - 1] + rng.standard_normal((len(labels), d))
+    tx = centres[rng.integers(0, m, n_q)] + rng.standard_normal((n_q, d))
+    if draw(st.booleans()):
+        x, labels = np.repeat(x, 2, axis=0), np.repeat(labels, 2)
+    return x * scale + offset, labels, tx * scale + offset
+
+
+@settings(deadline=None, max_examples=20)
+@given(_edge_draws())
+def test_pipeline_on_drawn_edge_cases_gives_valid_estimates(case):
+    x, labels, tx = case
+    m = int(labels.max())
+    source = Dataset(features=x, labels=labels, num_classes=m)
+    grid = CvGrid(c_values=(1.0,), g_values=(0.0625, 1.0), folds=2)
+    model, cv = adapt_pipeline(source, tx, grid, seed=0)
+    w = model.weights
+    assert w.shape == (m,) and np.all(np.isfinite(w)) and np.all(w >= 0) and np.any(w > 0)
+    q = target_class_probs(w, model.source_priors)
+    assert np.all(q >= 0) and abs(q.sum() - 1.0) <= 1e-9
+    _, pred = predict_target(model, tx)
+    assert pred.shape == (len(tx),) and np.all((pred >= 1) & (pred <= m))
+    assert np.all(np.isfinite(np.array(cv.table)))
 
 
 # -------------------------------------------------------------- validation

@@ -288,6 +288,25 @@ def test_mq_above_class_count_rejected_before_any_draw(pool_csv, tmp_path, monke
 
 
 @pytest.mark.parametrize("command", ["simulate", "benchmark"])
+def test_one_class_scenario_short_of_rows_rejected_before_any_draw(pool_csv, tmp_path,
+                                                                   monkeypatch, command):
+    # with --mq 1 each cell's 400 target and 100 test rows all come from one
+    # class, and no class keeps 400 rows after its 100 of the source draw
+    def fail(*args, **kwargs):
+        raise AssertionError("drew a source or ran CV")
+
+    monkeypatch.setattr(shiftlab, "sample_source", fail)
+    monkeypatch.setattr(shiftlab, "cv_select", fail)
+    monkeypatch.chdir(tmp_path)  # default output paths in tmp_path
+    res = run(command, "--pool", pool_csv, "--mq", "1", "--np", "300", "--nq", "400",
+              "--nt", "100")
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    assert res.stderr == "error: pool exhausted for class 1: need 400, have 312\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "benchmark"])
 def test_sample_sizes_above_pool_rows_rejected_before_any_draw(pool_csv, tmp_path,
                                                                monkeypatch, command):
     # no draw fits 600 + 600 + 100 disjoint rows into the 1200-row pool

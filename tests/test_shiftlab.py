@@ -17,7 +17,7 @@ from cpmkm.cpm import empirical_class_probs
 from cpmkm.data import (Dataset, load_csv, load_feature_csv, load_label_csv,
                         standardize_columns)
 from cpmkm.kernel import KernelParams, gram
-from cpmkm.klr import CvGrid, klr_gradient, klr_objective, klr_predict
+from cpmkm.klr import CvGrid, klr_fit, klr_gradient, klr_objective, klr_predict
 from cpmkm.shiftlab import (METHODS, MIXTURE_MEANS, ShiftSpec, aggregate,
                             estimate_weights, gaussian_mixture_pool,
                             metric_acc, metric_mse, run_benchmark,
@@ -76,6 +76,26 @@ def test_dataset_arrays_are_read_only():
     # the Dataset holds views: the caller's own arrays stay writable
     assert features.flags.writeable and labels.flags.writeable
     assert not data.subset([1]).labels.flags.writeable
+
+
+def test_dataset_always_carries_read_only_class_values(tmp_path):
+    synthetic = Dataset(features=np.zeros((4, 1)), labels=[1, 3, 1, 3], num_classes=3)
+    assert synthetic.classes.tolist() == [1, 2, 3]
+    path = tmp_path / "pool.csv"
+    path.write_text("a,label\n0.1,5\n0.2,9\n0.3,9\n")
+    from_file = load_csv(path, "label")
+    assert from_file.classes.tolist() == [5, 9]
+    for data in (synthetic, from_file):
+        with pytest.raises(ValueError, match="read-only"):
+            data.classes[0] = 7
+        assert data.subset([1, 2]).classes.tolist() == data.classes.tolist()
+    # without a file, the errors name classes by their labels 1..M
+    with pytest.raises(ValueError, match="^class 2 has no source examples$"):
+        klr_fit(synthetic, KernelParams(1.0), 0.1, 1e-8)
+    model = klr_fit(Dataset(features=[[0.0], [1.0], [2.0]], labels=[1, 2, 3],
+                            num_classes=3), KernelParams(1.0), 0.1, 1e-8)
+    with pytest.raises(ValueError, match="^class 2 missing from the holdout set$"):
+        confusion_estimate(model, synthetic)
 
 
 # ---------------------------------------------------------------- load_csv
@@ -386,6 +406,40 @@ def test_pool_exhaustion_names_class():
     spec = ShiftSpec(alpha=1.0, m_q=1, n_p=30, n_q=60, n_t=10, seed=1)
     with pytest.raises(ValueError, match="^pool exhausted for class 2: need 60, have 21$"):
         sample_shift_scenario(pool, spec)
+
+
+def test_one_class_scenario_short_of_rows_rejected_before_any_draw(monkeypatch):
+    # with m_q = 1 a cell's n_q target and n_t test rows all come from one class
+    pool = gaussian_mixture_pool(1200, seed=5)
+    spec = ShiftSpec(alpha=1.0, m_q=1, n_p=150, n_q=100, n_t=30, seed=0)
+    cells = [(0, s, t) for s in range(10) for t in range(10)]
+    shiftlab._check_one_class(pool, spec, cells)  # each class keeps 130 rows or more
+    # the classes relabelled 5, 9 and 11, and 160 rows of class 9: 110 after
+    # its 50 source rows, so its 100 target rows leave 10 of the 30 test rows
+    keep = (pool.labels != 2) | (np.cumsum(pool.labels == 2) <= 160)
+    short = Dataset(features=pool.features[keep], labels=pool.labels[keep],
+                    num_classes=3, classes=np.array([5, 9, 11]))
+    message = "^pool exhausted for class 9: need 30, have 10$"
+    with pytest.raises(ValueError, match=message):
+        shiftlab._check_one_class(short, spec, cells)
+    # the draw at seed 1, whose one class is 9, raises the same error
+    spec_1 = dataclasses.replace(spec, seed=1)
+    with pytest.raises(ValueError, match=message):
+        sample_target_test(short, spec_1, (1,), sample_source(short, 150, (1,))[1])
+    # m_q > 1 draws random counts per cell, and a source draw that runs out
+    # (200 rows of class 9 wanted) raises its own error: nothing to check
+    shiftlab._check_one_class(short, dataclasses.replace(spec, m_q=2), cells)
+    shiftlab._check_one_class(short, dataclasses.replace(spec, n_p=600), cells)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("drew a source or ran CV")
+
+    monkeypatch.setattr(shiftlab, "sample_source", fail)
+    monkeypatch.setattr(shiftlab, "cv_select", fail)
+    with pytest.raises(ValueError, match=message):
+        sample_shift_scenario(short, spec_1)
+    with pytest.raises(ValueError, match=message):
+        run_benchmark(short, spec, ("cpmkm",), 10, 10, CvGrid())
 
 
 def test_spec_validation():
